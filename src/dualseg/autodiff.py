@@ -1,11 +1,11 @@
 """Dense tensors with reverse-mode differentiation.
 
-A Tensor wraps a numpy array (float64 by default, float32 behind
-`set_default_dtype`). Differentiable operations are plain functions; when
-a GradTape is active and an input tracks gradients, the operation appends
-a record to the tape. `GradTape.backward` replays the records in exact
-reverse execution order, accumulating `.grad` arrays on every tracked
-tensor. A tape is single-use: backward on a consumed tape raises.
+A Tensor wraps a numpy array, float64 throughout. Differentiable
+operations are plain functions; when a GradTape is active and an input
+tracks gradients, the operation appends a record to the tape.
+`GradTape.backward` replays the records in exact reverse execution
+order, accumulating `.grad` arrays on every tracked tensor. A tape is
+single-use: backward on a consumed tape raises.
 
 All public operations keep finite inputs finite (softmax subtracts the
 row max, logarithms clamp their argument), and everything is serial and
@@ -23,36 +23,12 @@ import numpy as np
 from .errors import DimensionError, UsageError
 from .memory import LEDGER
 
-_DEFAULT_DTYPE = np.float64
-
-# Test hook: scales the matmul input-gradient so a deliberately corrupted
-# backward pass can be demonstrated to fail the gradient check.
-_GRAD_CORRUPTION = 1.0
-
-
-def set_default_dtype(dtype) -> None:
-    """Switch tensor storage precision (float64 or float32)."""
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float64, np.float32):
-        raise UsageError(f"unsupported dtype {dtype!r}")
-    _DEFAULT_DTYPE = dtype
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
-def set_grad_corruption(factor: float) -> None:
-    """Test hook: multiply matmul's input gradient by `factor`."""
-    global _GRAD_CORRUPTION
-    _GRAD_CORRUPTION = float(factor)
-
 
 class Tensor:
     """Dense n-dimensional array, row-major, optionally gradient-tracked."""
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+        arr = np.asarray(data, dtype=dtype or np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
@@ -84,8 +60,12 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # An owned copy: `g` may be a view, or be handed to several
+            # inputs at once (add(x, x)), so it must never be aliased.
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
@@ -109,7 +89,7 @@ def as_tensor(x) -> Tensor:
 
 
 def zeros(shape, requires_grad=False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
+    return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
 def init_uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
@@ -374,10 +354,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            ga = g @ b.data.T
-            if _GRAD_CORRUPTION != 1.0:
-                ga = ga * _GRAD_CORRUPTION
-            a.accumulate_grad(ga)
+            a.accumulate_grad(g @ b.data.T)
         if b.requires_grad:
             b.accumulate_grad(a.data.T @ g)
 
@@ -431,7 +408,12 @@ def conv2d(x: Tensor, kernel: Tensor, padding: int = 0,
     """Cross-correlation of [C,H,W] with [O,C,kh,kw], zero padding.
 
     Output is [O, H + 2*padding - kh + 1, W + 2*padding - kw + 1]; the
-    kernel (any size >= 1) must fit inside the padded input.
+    kernel (any size >= 1) must fit inside the padded input. Forward is
+    one GEMM over the im2col patch matrix. Backward gives the kernel and
+    bias gradients from the same patches, and the input gradient as one
+    GEMM of the flipped kernel, reshaped to [C, O*kh*kw], with the
+    im2col of the output gradient zero-padded by kh-1-padding and
+    kw-1-padding (cropped instead where padding exceeds k-1).
     """
     if x.ndim != 3 or kernel.ndim != 4:
         raise DimensionError(
@@ -470,12 +452,19 @@ def conv2d(x: Tensor, kernel: Tensor, padding: int = 0,
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(gmat.sum(axis=0))
         if x.requires_grad:
-            dpatch = (gmat @ kmat).reshape(oh, ow, c, kh, kw)
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i:i + oh, j:j + ow] += dpatch[:, :, :, i, j].transpose(2, 0, 1)
-            x.accumulate_grad(dxp[:, padding:padding + h, padding:padding + w])
+            # Full correlation of g with the flipped kernel, as one GEMM:
+            # pad g by k-1-padding per axis (or crop the windows where
+            # padding > k-1) so it yields exactly h x w windows.
+            qh, qw = max(kh - 1 - padding, 0), max(kw - 1 - padding, 0)
+            gp = np.zeros((o, oh + 2 * qh, ow + 2 * qw), dtype=g.dtype)
+            gp[:, qh:qh + oh, qw:qw + ow] = g
+            sh, sw = padding + qh - (kh - 1), padding + qw - (kw - 1)
+            gwin = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(1, 2))
+            gcols = gwin[:, sh:sh + h, sw:sw + w].transpose(0, 3, 4, 1, 2) \
+                .reshape(o * kh * kw, h * w)
+            kflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) \
+                .reshape(c, o * kh * kw)
+            x.accumulate_grad((kflip @ gcols).reshape(c, h, w))
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
     return _maybe_record(inputs, out, bw)
@@ -508,8 +497,27 @@ def _resize_axis(src: int, dst: int):
     return i0, i1, s - i0
 
 
+def _resize_matrix(src: int, dst: int) -> np.ndarray:
+    """[dst, src] matrix of the 1-D interpolation along one axis.
+
+    Where the edge clamp gives i0 == i1, both weights land in one entry.
+    """
+    i0, i1, w = _resize_axis(src, dst)
+    m = np.zeros((dst, src))
+    rows = np.arange(dst)
+    m[rows, i0] += 1.0 - w
+    m[rows, i1] += w
+    return m
+
+
 def bilinear_resize(x: Tensor, target_h: int, target_w: int) -> Tensor:
-    """Bilinear resampling of [C,H,W]; identity when the size is unchanged."""
+    """Bilinear resampling of [C,H,W]; identity when the size is unchanged.
+
+    Forward interpolates in lerp form, with half-pixel centres and edge
+    clamping. The map is separable, out = Ry · x · Rxᵀ per channel with
+    Ry [th, H] and Rx [tw, W] from `_resize_matrix`, so backward is the
+    adjoint gx = Ryᵀ · g · Rx: two small GEMMs, no scatter.
+    """
     if x.ndim != 3:
         raise DimensionError(f"bilinear_resize expects [C,H,W], got {tuple(x.shape)}")
     th, tw = int(target_h), int(target_w)
@@ -530,19 +538,8 @@ def bilinear_resize(x: Tensor, target_h: int, target_w: int) -> Tensor:
     out = Tensor(top + wy * (bot - top))
 
     def bw(g):
-        if not x.requires_grad:
-            return
-        gx = np.zeros_like(x.data)
-        ch = np.arange(c)[:, None, None]
-        rr0 = np.broadcast_to(r0[:, None], (th, tw))
-        rr1 = np.broadcast_to(r1[:, None], (th, tw))
-        cc0 = np.broadcast_to(c0[None, :], (th, tw))
-        cc1 = np.broadcast_to(c1[None, :], (th, tw))
-        np.add.at(gx, (ch, rr0, cc0), g * ((1 - wy) * (1 - wx)))
-        np.add.at(gx, (ch, rr0, cc1), g * ((1 - wy) * wx))
-        np.add.at(gx, (ch, rr1, cc0), g * (wy * (1 - wx)))
-        np.add.at(gx, (ch, rr1, cc1), g * (wy * wx))
-        x.accumulate_grad(gx)
+        if x.requires_grad:
+            x.accumulate_grad(_resize_matrix(h, th).T @ (g @ _resize_matrix(w, tw)))
 
     return _maybe_record((x,), out, bw)
 

@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 
-import dualseg.autodiff as ad
 from .errors import (CheckFailure, ConfigError, DataError, DimensionError,
                      InvalidMaskError, UsageError)
 from .harness import netpbm
@@ -129,13 +128,8 @@ def _cmd_gradcheck(args) -> int:
                                  focal_gamma=cfg.focal_gamma,
                                  coupling_lambda=cfg.coupling_lambda,
                                  mask_dilation=cfg.mask_dilation)
-    if args.corrupt_grad != 1.0:
-        ad.set_grad_corruption(args.corrupt_grad)
-    try:
-        report = run_gradcheck(backbone, settings, num_classes,
-                               seed=args.seed or 0)
-    finally:
-        ad.set_grad_corruption(1.0)
+    report = run_gradcheck(backbone, settings, num_classes,
+                           seed=args.seed or 0)
     print(json.dumps(report))
     if not report["passed"]:
         raise CheckFailure(
@@ -224,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck",
                        help="finite-difference check of the micro model")
     common(p)
-    p.add_argument("--corrupt-grad", type=float, default=1.0,
-                   help=argparse.SUPPRESS)   # test hook: scale one grad path
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="train all flag combinations, emit CSV")

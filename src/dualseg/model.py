@@ -317,7 +317,7 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
                   params: ModelParams, settings: TrainSettings
                   ) -> tuple[BranchOutputs, LossBreakdown]:
     """Full training pass over one image; returns outputs and the loss."""
-    image = np.asarray(image, dtype=ad.default_dtype())
+    image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[0] != IN_CHANNELS:
         raise DimensionError(f"forward_train: image must be [3,H,W], got {image.shape}")
     h, w = image.shape[1:]
@@ -428,7 +428,7 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
     """
     from .memory import LEDGER
 
-    image = np.asarray(image, dtype=ad.default_dtype())
+    image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[0] != IN_CHANNELS:
         raise DimensionError(f"forward_infer: image must be [3,H,W], got {image.shape}")
     h, w = image.shape[1:]

@@ -125,11 +125,12 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 3
         capsys.readouterr()
 
-    def test_gradcheck_corruption_is_4(self, tmp_path, capsys):
+    def test_gradcheck_corruption_is_4(self, tmp_path, capsys,
+                                       scale_matmul_input_grad):
         cfg = tmp_path / "micro.cfg"
         cfg.write_text("stage_channels = 2,2\nd_model = 2\n")
-        assert main(["gradcheck", "--config", str(cfg),
-                     "--corrupt-grad", "1.1"]) == 4
+        scale_matmul_input_grad(1.1)
+        assert main(["gradcheck", "--config", str(cfg)]) == 4
         out = capsys.readouterr()
         assert not json.loads(out.out)["passed"]
 
