@@ -151,14 +151,6 @@ class GradTape:
 _ACTIVE_TAPE: Optional[GradTape] = None
 
 
-def active_tape() -> Optional[GradTape]:
-    return _ACTIVE_TAPE
-
-
-def backward(tape: GradTape, loss: Tensor) -> None:
-    tape.backward(loss)
-
-
 def _maybe_record(inputs: Sequence[Tensor], output: Tensor,
                   backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     tape = _ACTIVE_TAPE

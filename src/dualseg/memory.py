@@ -41,7 +41,3 @@ class AllocationLedger:
 
 # Process-wide ledger. The tensor core reports into this instance.
 LEDGER = AllocationLedger()
-
-
-def ledger() -> AllocationLedger:
-    return LEDGER

@@ -19,26 +19,27 @@ aggregate logits. Training adds per-branch 1x1 heads and combines three
 focal losses with a Euclidean penalty tying the two branches' features
 together.
 
-Inference (`forward_infer`) runs the same pipeline without a tape,
-tile-by-tile in patch mode (bounded transients) or as one full-size tile
-in global mode; the global feature window each tile needs is sampled
-directly from the small global map, bit-identical to cropping a
+Inference (`forward_infer`) runs the same per-tile pipeline
+(`_tile_forward`) without a tape, once per tile in patch mode (bounded
+transients) or on one full-size tile in global mode. The aggregation
+conv is linear in its input channels, so its local half is stitched in
+that one pass and its global half, which needs the averaged global map,
+is added per tile afterwards. The global window each tile needs is
+sampled directly from the small global map, bit-identical to cropping a
 full-size resize, so a one-tile image gives the same prediction in both
 modes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (AttentionMask, AttentionWeights, TokenSeq,
-                        build_patch_mask, cross_fuse, project_qkv,
-                        self_attention)
+from .attention import (AttentionWeights, TokenSeq, build_patch_mask,
+                        cross_fuse, project_qkv, self_attention)
 from .autodiff import Tensor, _resize_axis
 from .errors import DataError, DimensionError, UsageError
 from .tiling import (StitchAccumulator, TileGrid, extract_label_patch,
@@ -313,6 +314,24 @@ def _local_tokens(tile: np.ndarray, index: int, params: ModelParams,
     return seq
 
 
+def _tile_forward(image: np.ndarray, grid: TileGrid, i: int,
+                  glb_seq: TokenSeq, q_g: Tensor, k_g: Tensor, v_g: Tensor,
+                  params: ModelParams, settings: TrainSettings
+                  ) -> tuple[Tensor, Tensor]:
+    """Tile `i`'s fused global tokens and fused local map, upsampled to
+    [d, patch, patch]: the one tile pipeline of training and inference."""
+    loc_seq = _local_tokens(extract_patch(image, grid, i), i, params, settings)
+    q_l, k_l, v_l = project_qkv(loc_seq, params.attn("fuse_l"))
+    mask_lg = build_patch_mask(grid, i, glb_seq.spatial,
+                               settings.mask_dilation) \
+        if settings.use_mask else None
+    fused_g_i, fused_l_i = cross_fuse(q_g, k_l, v_l, q_l, k_g, v_g,
+                                      mask_gl=None, mask_lg=mask_lg)
+    loc_map = map_from_tokens(TokenSeq(fused_l_i, loc_seq.origin,
+                                       loc_seq.spatial))
+    return fused_g_i, ad.bilinear_resize(loc_map, grid.patch, grid.patch)
+
+
 def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
                   params: ModelParams, settings: TrainSettings
                   ) -> tuple[BranchOutputs, LossBreakdown]:
@@ -334,19 +353,10 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
     loc_losses: list[Tensor] = []
     s_loc_list: list[Tensor] = []
     head_l_k, head_l_b = params.head("l")
-    w_fuse_l = params.attn("fuse_l")
     for i in range(grid.n_tiles):
-        loc_seq = _local_tokens(extract_patch(image, grid, i), i, params, settings)
-        q_l, k_l, v_l = project_qkv(loc_seq, w_fuse_l)
-        mask_lg = build_patch_mask(grid, i, glb_seq.spatial,
-                                   settings.mask_dilation) \
-            if settings.use_mask else None
-        fused_g_i, fused_l_i = cross_fuse(q_g, k_l, v_l, q_l, k_g, v_g,
-                                          mask_gl=None, mask_lg=mask_lg)
+        fused_g_i, loc_up = _tile_forward(image, grid, i, glb_seq, q_g, k_g,
+                                          v_g, params, settings)
         fused_g_parts.append(fused_g_i)
-        loc_map = map_from_tokens(TokenSeq(fused_l_i, loc_seq.origin,
-                                           loc_seq.spatial))
-        loc_up = ad.bilinear_resize(loc_map, grid.patch, grid.patch)
         loc_maps_up.append(loc_up)
         s_loc = ad.conv2d(loc_up, head_l_k, padding=0, bias=head_l_b)
         s_loc_list.append(s_loc)
@@ -422,9 +432,13 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
 
     Patch mode walks the provided grid; global mode treats the whole
     image as a single tile at full resolution (the tile is padded up to a
-    stride multiple when needed). When `mem_report` is given, the
-    allocation ledger's peak is reset after the full-size accumulators
-    exist, so the reported transient excludes input/output-scale buffers.
+    stride multiple when needed). Each tile's local branch runs once, since
+    conv(concat[G, L], K) + b = conv(G, K[:, :d]) + conv(L, K[:, d:]) + b.
+    When `mem_report` is given, the allocation ledger's peak is reset
+    after the full-size accumulators and the two kernel halves exist, so
+    the reported transient excludes input/output-scale buffers. The
+    halves are per-model constants; built after the reset, their bytes
+    would be counted in every transient.
     """
     from .memory import LEDGER
 
@@ -447,47 +461,32 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
 
     img_t = Tensor(image)
     acc = StitchAccumulator(params.num_classes, h, w, grid.patch)
+    d = params.backbone.d_model
+    agg_k, agg_b = params.f_agg()
+    agg_k_glb = Tensor(agg_k.data[:, :d])
+    agg_k_loc = Tensor(agg_k.data[:, d:])
     if mem_report is not None:
         mem_report["baseline_bytes"] = LEDGER.reset_peak()
 
     glb_seq = _global_tokens(img_t, params, settings)
     q_g, k_g, v_g = project_qkv(glb_seq, params.attn("fuse_g"))
 
-    agg_k, agg_b = params.f_agg()
-    w_fuse_l = params.attn("fuse_l")
-
-    def fuse_tile(i: int) -> tuple[Tensor, Tensor]:
-        loc_seq = _local_tokens(extract_patch(image, grid, i), i, params, settings)
-        q_l, k_l, v_l = project_qkv(loc_seq, w_fuse_l)
-        mask_lg = build_patch_mask(grid, i, glb_seq.spatial,
-                                   settings.mask_dilation) \
-            if settings.use_mask else None
-        fused_g_i, fused_l_i = cross_fuse(q_g, k_l, v_l, q_l, k_g, v_g,
-                                          mask_gl=None, mask_lg=mask_lg)
-        return fused_g_i, map_from_tokens(
-            TokenSeq(fused_l_i, loc_seq.origin, loc_seq.spatial))
-
-    # pass 1: running mean of the fused global tokens over all tiles;
-    # per-tile tensors die as soon as the loop moves on
+    # running mean of the fused global tokens; stitch of the local half
     fused_g_mean = np.zeros_like(q_g.data)
     for i in range(grid.n_tiles):
-        fused_g_i, _ = fuse_tile(i)
+        fused_g_i, loc_up = _tile_forward(image, grid, i, glb_seq, q_g, k_g,
+                                          v_g, params, settings)
         fused_g_mean += (fused_g_i.data - fused_g_mean) / (i + 1)
+        acc.add(ad.conv2d(loc_up, agg_k_loc, padding=1, bias=agg_b).data,
+                grid.origins[i])
 
     gh, gw = glb_seq.spatial
-    x_glb = np.ascontiguousarray(
-        fused_g_mean.T.reshape(params.backbone.d_model, gh, gw))
+    x_glb = np.ascontiguousarray(fused_g_mean.T.reshape(d, gh, gw))
 
-    # pass 2: recompute each tile (bounded memory beats recompute cost
-    # here) and aggregate against the now-complete global map
-    for i in range(grid.n_tiles):
-        _, loc_map = fuse_tile(i)
-        loc_up = ad.bilinear_resize(loc_map, grid.patch, grid.patch)
-        r, c = grid.origins[i]
+    # global half: the coverage counts are final, so shares add directly
+    for r, c in grid.origins:
         glb_win = Tensor(_global_window(x_glb, h, w, r, c, grid.patch))
-        s_agg = ad.conv2d(ad.concat_channels([glb_win, loc_up]), agg_k,
-                          padding=1, bias=agg_b)
-        acc.add(s_agg.data, (r, c))
+        acc.add_share(ad.conv2d(glb_win, agg_k_glb, padding=1).data, (r, c))
 
     if mem_report is not None:
         mem_report["peak_bytes"] = LEDGER.peak_bytes

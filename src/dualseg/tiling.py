@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor, _maybe_record
-from .errors import DimensionError
+from .errors import DimensionError, UsageError
 
 
 def _axis_starts(dim: int, patch: int, stride: int) -> list[int]:
@@ -104,6 +104,7 @@ class StitchAccumulator:
     per-pixel coverage. The incremental update `m += (x - m) / k` keeps
     the average exact when all contributions to a pixel are equal, which
     a plain sum-then-divide does not guarantee in floating point.
+    `add_share` adds a second term per tile once the counts are final.
     """
 
     def __init__(self, channels: int, image_h: int, image_w: int, patch: int):
@@ -112,21 +113,41 @@ class StitchAccumulator:
         self.patch = int(patch)
 
     def add(self, values: np.ndarray, origin: tuple[int, int]) -> None:
+        tile, region = self._tile_region(values, origin, "add")
+        self.count[region] += 1
+        mean = self.mean[(slice(None),) + region]
+        mean += (tile - mean) / self.count[region]
+
+    def add_share(self, values: np.ndarray, origin: tuple[int, int]) -> None:
+        """Add `values / count` over the tile's region; `count` is kept.
+
+        With the counts final (every tile already went through `add`),
+        adding each tile's second term g_i here turns the stitched mean
+        of the l_i into the mean of the sums: mean(l) + sum(g) / count.
+        """
+        tile, region = self._tile_region(values, origin, "add_share")
+        count = self.count[region]
+        if not count.all():
+            raise UsageError(
+                f"StitchAccumulator.add_share: region at {origin} has "
+                f"pixels no tile was added to")
+        self.mean[(slice(None),) + region] += tile / count
+
+    def _tile_region(self, values: np.ndarray, origin: tuple[int, int],
+                     method: str) -> tuple[np.ndarray, tuple[slice, slice]]:
+        """The in-canvas part of a tile and the canvas region it covers."""
         p = self.patch
         if values.shape != (self.mean.shape[0], p, p):
             raise DimensionError(
-                f"StitchAccumulator.add: tile shape {values.shape} != "
+                f"StitchAccumulator.{method}: tile shape {values.shape} != "
                 f"({self.mean.shape[0]}, {p}, {p})")
         r, c = origin
         hh = min(p, self.mean.shape[1] - r)
         ww = min(p, self.mean.shape[2] - c)
         if hh <= 0 or ww <= 0 or r < 0 or c < 0:
-            raise DimensionError(f"StitchAccumulator.add: origin {origin} outside canvas")
-        region = (slice(r, r + hh), slice(c, c + ww))
-        self.count[region] += 1
-        self.mean[(slice(None),) + region] += (
-            values[:, :hh, :ww] - self.mean[(slice(None),) + region]
-        ) / self.count[region]
+            raise DimensionError(
+                f"StitchAccumulator.{method}: origin {origin} outside canvas")
+        return values[:, :hh, :ww], (slice(r, r + hh), slice(c, c + ww))
 
     def uncovered(self) -> int:
         return int((self.count == 0).sum())

@@ -263,6 +263,7 @@ def test_06_loss_constants():
           f"(< 1e-12), half-confidence pixel {single_diff:.1e} (< 1e-12)")
 
 
+@pytest.mark.slow
 def test_07_desk_scale_convergence(synth_root, tmp_path):
     cfg = preset_convergence()
     t0 = time.perf_counter()
@@ -278,6 +279,7 @@ def test_07_desk_scale_convergence(synth_root, tmp_path):
           f"in {elapsed:.0f}s (< 600s)")
 
 
+@pytest.mark.slow
 def test_08_ablation_ordering(synth_root, tmp_path):
     cfg = preset_ablation()
     t0 = time.perf_counter()

@@ -284,13 +284,6 @@ class TestTapeSemantics:
                 with GradTape():
                     pass
 
-    def test_module_level_backward_alias(self):
-        x = Tensor([2.0], requires_grad=True)
-        with GradTape() as tape:
-            loss = ad.sum_all(x * x)
-        ad.backward(tape, loss)
-        np.testing.assert_allclose(x.grad, [4.0])
-
     def test_untracked_branch_gets_no_grad(self):
         x = Tensor([1.0], requires_grad=True)
         y = Tensor([1.0], requires_grad=True)

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import dualseg.autodiff as ad
+import dualseg.model as model
+from dualseg.attention import project_qkv
 from dualseg.autodiff import GradTape, Tensor
 from dualseg.errors import DataError, DimensionError, UsageError
 from dualseg.model import (
@@ -61,6 +63,48 @@ def adam_oracle(x0, grads, lr, b1, b2, eps):
         v = b2 * v + (1 - b2) * g * g
         x -= lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
     return x
+
+
+def two_pass_infer_oracle(image, grid, params, settings):
+    """The two-pass inference path: every tile's local branch runs again
+    in pass 2, against the full aggregation kernel over the channel
+    concat, and the tile logits are stitched with a Welford mean."""
+    h, w = image.shape[1:]
+    glb_seq = model._global_tokens(Tensor(image), params, settings)
+    q_g, k_g, v_g = project_qkv(glb_seq, params.attn("fuse_g"))
+    fused = [model._tile_forward(image, grid, i, glb_seq, q_g, k_g, v_g,
+                                 params, settings)[0].data
+             for i in range(grid.n_tiles)]
+    gh, gw = glb_seq.spatial
+    x_glb = np.mean(fused, axis=0).T.reshape(params.backbone.d_model, gh, gw)
+    agg_k, agg_b = params.f_agg()
+    mean = np.zeros((params.num_classes, h, w))
+    count = np.zeros((h, w))
+    for i, (r, c) in enumerate(grid.origins):
+        _, loc_up = model._tile_forward(image, grid, i, glb_seq, q_g, k_g,
+                                        v_g, params, settings)
+        glb_win = Tensor(model._global_window(x_glb, h, w, r, c, grid.patch))
+        s_agg = ad.conv2d(ad.concat_channels([glb_win, loc_up]), agg_k,
+                          padding=1, bias=agg_b).data
+        hh, ww = min(grid.patch, h - r), min(grid.patch, w - c)
+        count[r:r + hh, c:c + ww] += 1
+        mean[:, r:r + hh, c:c + ww] += (
+            s_agg[:, :hh, :ww] - mean[:, r:r + hh, c:c + ww]
+        ) / count[r:r + hh, c:c + ww]
+    return np.argmax(mean, axis=0)
+
+
+def count_local_backbone_calls(monkeypatch):
+    calls = []
+    real = model.backbone_forward
+
+    def counted(x, params, branch, *args, **kwargs):
+        if branch == "l":
+            calls.append(x.shape)
+        return real(x, params, branch, *args, **kwargs)
+
+    monkeypatch.setattr(model, "backbone_forward", counted)
+    return calls
 
 
 def micro_setup(seed=0, num_classes=2, h=16, w=16, patch=8, overlap=4,
@@ -441,6 +485,45 @@ class TestForwardInfer:
         assert set(report) == {"baseline_bytes", "peak_bytes", "transient_bytes"}
         assert report["peak_bytes"] >= report["baseline_bytes"] > 0
         assert report["transient_bytes"] > 0
+
+    def test_local_branch_runs_once_per_tile(self, monkeypatch):
+        params, image, labels, grid, settings = micro_setup(
+            h=40, w=28, patch=16, overlap=4)
+        assert grid.n_tiles == 6
+        calls = count_local_backbone_calls(monkeypatch)
+        forward_infer(image, grid, params, settings, mode="patch")
+        assert len(calls) == grid.n_tiles
+        calls.clear()
+        forward_infer(image, None, params, settings, mode="global")
+        assert len(calls) == 1
+        calls.clear()
+        forward_train(image, labels, grid, params, settings)
+        assert len(calls) == grid.n_tiles
+
+    # 40x28: six tiles covering pixels once, twice or four times;
+    # 40x12: the image is narrower than the patch, so every tile overhangs
+    @pytest.mark.parametrize("h,w", [(40, 28), (40, 12)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_two_pass_oracle(self, seed, h, w):
+        params, image, _, grid, settings = micro_setup(
+            seed=seed, num_classes=3, h=h, w=w, patch=16, overlap=4)
+        assert grid.n_tiles > 1
+        # a nonzero bias, so that adding it to both conv halves shows
+        params.f_agg()[1].data[:] = np.random.default_rng(seed).normal(
+            0.0, 0.1, 3)
+        want = two_pass_infer_oracle(image, grid, params, settings)
+        got = forward_infer(image, grid, params, settings, mode="patch")
+        assert np.array_equal(got, want)
+
+    def test_patch_transient_flat_in_image_size(self):
+        transients = []
+        for side in (64, 128):
+            params, image, _, grid, settings = micro_setup(
+                h=side, w=side, patch=16, overlap=4)
+            report = {}
+            forward_infer(image, grid, params, settings, mem_report=report)
+            transients.append(report["transient_bytes"])
+        assert transients[0] == transients[1]
 
     def test_mode_validation(self):
         params, image, _, grid, settings = micro_setup()

@@ -5,7 +5,7 @@ import pytest
 
 import dualseg.autodiff as ad
 from dualseg.autodiff import GradTape, Tensor
-from dualseg.errors import DimensionError
+from dualseg.errors import DimensionError, UsageError
 from dualseg.tiling import (StitchAccumulator, extract_label_patch,
                             extract_patch, plan_grid, stitch)
 
@@ -134,6 +134,44 @@ class TestStitch:
         acc.add(np.ones((1, 16, 16)), grid.origins[0])
         assert acc.uncovered() == 0
         assert (acc.count == 1).all()
+
+    def test_add_share_gives_mean_of_sums(self):
+        rng = np.random.default_rng(5)
+        grid = plan_grid(6, 6, 4, 2)
+        cov = coverage_map(grid)
+        assert set(np.unique(cov)) == {1, 2, 4}
+        ls = [rng.standard_normal((2, 4, 4)) for _ in grid.origins]
+        gs = [rng.standard_normal((2, 4, 4)) for _ in grid.origins]
+        acc = StitchAccumulator(2, 6, 6, 4)
+        for l_i, origin in zip(ls, grid.origins):
+            acc.add(l_i, origin)
+        for g_i, origin in zip(gs, grid.origins):
+            acc.add_share(g_i, origin)
+        total = np.zeros((2, 6, 6))
+        for l_i, g_i, (r, c) in zip(ls, gs, grid.origins):
+            total[:, r:r + 4, c:c + 4] += l_i + g_i
+        np.testing.assert_allclose(acc.mean, total / cov, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(acc.count, cov)
+
+    def test_add_share_rejects_what_add_rejects(self):
+        acc = StitchAccumulator(1, 6, 6, 4)
+        acc.add(np.ones((1, 4, 4)), (0, 0))
+        with pytest.raises(DimensionError):
+            acc.add_share(np.ones((1, 3, 4)), (0, 0))
+        with pytest.raises(DimensionError):
+            acc.add_share(np.ones((2, 4, 4)), (0, 0))
+        for origin in [(6, 0), (0, 6), (-1, 0), (0, -1)]:
+            with pytest.raises(DimensionError):
+                acc.add(np.ones((1, 4, 4)), origin)
+            with pytest.raises(DimensionError):
+                acc.add_share(np.ones((1, 4, 4)), origin)
+
+    def test_add_share_needs_every_pixel_added_first(self):
+        acc = StitchAccumulator(1, 6, 6, 4)
+        acc.add(np.ones((1, 4, 4)), (0, 0))
+        with pytest.raises(UsageError):
+            acc.add_share(np.ones((1, 4, 4)), (2, 2))
+        np.testing.assert_array_equal(acc.mean[0, :4, :4], 1.0)
 
     def test_backward_splits_by_coverage(self):
         rng = np.random.default_rng(3)
