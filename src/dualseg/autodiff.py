@@ -401,7 +401,9 @@ def conv2d(x: Tensor, kernel: Tensor, padding: int = 0,
 
     Output is [O, H + 2*padding - kh + 1, W + 2*padding - kw + 1]; the
     kernel (any size >= 1) must fit inside the padded input. Forward is
-    one GEMM over the im2col patch matrix. Backward gives the kernel and
+    one GEMM, kernel [O, C*kh*kw] times a channel-major im2col
+    [C*kh*kw, oh*ow] of contiguous rows, into a fresh output that owns
+    its buffer so the ledger counts it. Backward gives the kernel and
     bias gradients from the same patches, and the input gradient as one
     GEMM of the flipped kernel, reshaped to [C, O*kh*kw], with the
     im2col of the output gradient zero-padded by kh-1-padding and
@@ -429,20 +431,20 @@ def conv2d(x: Tensor, kernel: Tensor, padding: int = 0,
     xp = np.zeros((c, hp, wp), dtype=x.data.dtype)
     xp[:, padding:padding + h, padding:padding + w] = x.data
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    # [oh*ow, c*kh*kw] patch matrix; the copy makes BLAS happy.
-    patches = windows.transpose(1, 2, 0, 3, 4).reshape(oh * ow, c * kh * kw)
+    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, oh * ow)
     kmat = kernel.data.reshape(o, c * kh * kw)
-    y = patches @ kmat.T
+    y = np.empty((o, oh, ow), dtype=x.data.dtype)
+    np.matmul(kmat, cols, out=y.reshape(o, oh * ow))
     if bias is not None:
-        y = y + bias.data
-    out = Tensor(y.T.reshape(o, oh, ow))
+        y += bias.data[:, None, None]
+    out = Tensor(y)
 
     def bw(g):
-        gmat = g.reshape(o, oh * ow).T
+        gmat = g.reshape(o, oh * ow)
         if kernel.requires_grad:
-            kernel.accumulate_grad((gmat.T @ patches).reshape(o, c, kh, kw))
+            kernel.accumulate_grad((gmat @ cols.T).reshape(o, c, kh, kw))
         if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(gmat.sum(axis=0))
+            bias.accumulate_grad(gmat.sum(axis=1))
         if x.requires_grad:
             # Full correlation of g with the flipped kernel, as one GEMM:
             # pad g by k-1-padding per axis (or crop the windows where
@@ -502,12 +504,29 @@ def _resize_matrix(src: int, dst: int) -> np.ndarray:
     return m
 
 
+def _lerp2d(x: np.ndarray, rows, cols) -> np.ndarray:
+    """Bilinear gather of [C,H,W] at rows (r0, r1, wy), cols (c0, c1, wx).
+
+    Separable: the source rows the output reads (r0 ∪ r1) are lerped
+    along x once, then gathered and lerped along y. The expressions are
+    the four-corner lerp form's, so the result is bit-identical to it,
+    from two full-size gathers instead of four.
+    """
+    r0, r1, wy = rows
+    c0, c1, wx = cols
+    src, inv = np.unique(np.concatenate([r0, r1]), return_inverse=True)
+    a = x[:, src[:, None], c0[None, :]]
+    xl = a + wx * (x[:, src[:, None], c1[None, :]] - a)
+    top, bot = xl[:, inv[:len(r0)]], xl[:, inv[len(r0):]]
+    return top + wy[:, None] * (bot - top)
+
+
 def bilinear_resize(x: Tensor, target_h: int, target_w: int) -> Tensor:
     """Bilinear resampling of [C,H,W]; identity when the size is unchanged.
 
-    Forward interpolates in lerp form, with half-pixel centres and edge
-    clamping. The map is separable, out = Ry · x · Rxᵀ per channel with
-    Ry [th, H] and Rx [tw, W] from `_resize_matrix`, so backward is the
+    Half-pixel centres, edge clamping; forward is `_lerp2d`'s separable
+    gather. The map is linear, out = Ry · x · Rxᵀ per channel with Ry
+    [th, H] and Rx [tw, W] from `_resize_matrix`, so backward is the
     adjoint gx = Ryᵀ · g · Rx: two small GEMMs, no scatter.
     """
     if x.ndim != 3:
@@ -515,19 +534,8 @@ def bilinear_resize(x: Tensor, target_h: int, target_w: int) -> Tensor:
     th, tw = int(target_h), int(target_w)
     if th < 1 or tw < 1:
         raise DimensionError(f"bilinear_resize: non-positive target {th}x{tw}")
-    c, h, w = x.shape
-    r0, r1, wy = _resize_axis(h, th)
-    c0, c1, wx = _resize_axis(w, tw)
-    wy = wy[:, None]
-    wx = wx[None, :]
-    a = x.data[:, r0[:, None], c0[None, :]]
-    b = x.data[:, r0[:, None], c1[None, :]]
-    cc = x.data[:, r1[:, None], c0[None, :]]
-    d = x.data[:, r1[:, None], c1[None, :]]
-    # lerp form keeps constants (and the identity resize) exact
-    top = a + wx * (b - a)
-    bot = cc + wx * (d - cc)
-    out = Tensor(top + wy * (bot - top))
+    h, w = x.shape[1:]
+    out = Tensor(_lerp2d(x.data, _resize_axis(h, th), _resize_axis(w, tw)))
 
     def bw(g):
         if x.requires_grad:

@@ -2,7 +2,8 @@
 
 JSON keeps the artifact diffable and dependency-free; Python's float
 repr round-trips doubles exactly, so save/load is lossless. Arrays are
-stored as shape + flat list in C order.
+stored as shape + flat list in C order. Loading raises DataError on a
+missing section, a size mismatch or a non-finite value.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ def _unpack(name: str, raw: dict) -> np.ndarray:
     if data.size != int(np.prod(shape, dtype=np.int64)):
         raise DataError(f"checkpoint: array '{name}' has {data.size} values "
                         f"for shape {shape}")
+    # json reads NaN and Infinity without complaint
+    if not np.isfinite(data).all():
+        raise DataError(f"checkpoint: array '{name}' has non-finite values")
     return data.reshape(shape)
 
 
@@ -61,6 +65,9 @@ def load_checkpoint(path) -> tuple[RunConfig, ModelParams, dict | None]:
     if doc.get("version") != FORMAT_VERSION:
         raise DataError(f"checkpoint version {doc.get('version')!r} "
                         f"is not {FORMAT_VERSION}")
+    for key in ("config", "params"):
+        if key not in doc:
+            raise DataError(f"checkpoint {path} has no '{key}' section")
     cfg = config_from_dict(doc["config"])
     named = {name: Tensor(_unpack(name, raw), requires_grad=True)
              for name, raw in doc["params"].items()}

@@ -40,7 +40,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import (AttentionWeights, TokenSeq, build_patch_mask,
                         cross_fuse, project_qkv, self_attention)
-from .autodiff import Tensor, _resize_axis
+from .autodiff import Tensor, _lerp2d, _resize_axis
 from .errors import DataError, DimensionError, UsageError
 from .tiling import (StitchAccumulator, TileGrid, extract_label_patch,
                      extract_patch, plan_grid, stitch)
@@ -400,27 +400,17 @@ def _global_window(xg: np.ndarray, image_h: int, image_w: int,
                    r: int, c: int, size: int) -> np.ndarray:
     """Tile-sized window of bilinear_resize(xg, H, W) without building it.
 
-    Index/weight vectors for the full-size resize are computed once and
-    sliced, so the window is bit-identical to cropping the full resize;
-    rows/cols beyond the image stay zero (tiles may overhang the canvas).
+    The full-size resize's index/weight vectors are sliced to the window
+    and fed to the same separable gather (`_lerp2d`), so the window is
+    bit-identical to cropping the full resize; rows/cols beyond the image
+    stay zero (tiles may overhang the canvas).
     """
     d, gh, gw = xg.shape
-    r0, r1, wy = _resize_axis(gh, image_h)
-    c0, c1, wx = _resize_axis(gw, image_w)
-    hh = min(size, image_h - r)
-    ww = min(size, image_w - c)
-    rr0, rr1 = r0[r:r + hh], r1[r:r + hh]
-    cc0, cc1 = c0[c:c + ww], c1[c:c + ww]
-    vy = wy[r:r + hh][:, None]
-    vx = wx[c:c + ww][None, :]
-    a = xg[:, rr0[:, None], cc0[None, :]]
-    b = xg[:, rr0[:, None], cc1[None, :]]
-    cc = xg[:, rr1[:, None], cc0[None, :]]
-    dd = xg[:, rr1[:, None], cc1[None, :]]
-    top = a + vx * (b - a)
-    bot = cc + vx * (dd - cc)
+    hh, ww = min(size, image_h - r), min(size, image_w - c)
+    rows = tuple(v[r:r + hh] for v in _resize_axis(gh, image_h))
+    cols = tuple(v[c:c + ww] for v in _resize_axis(gw, image_w))
     out = np.zeros((d, size, size), dtype=xg.dtype)
-    out[:, :hh, :ww] = top + vy * (bot - top)
+    out[:, :hh, :ww] = _lerp2d(xg, rows, cols)
     return out
 
 

@@ -107,6 +107,26 @@ def bilinear_oracle(x, th, tw):
     return out
 
 
+def bilinear_four_corner(x, th, tw):
+    """Vectorised `bilinear_oracle`: four full-size corner gathers, then
+    the lerp form (the library's forward before the separable gather)."""
+    def axis(src, dst):
+        s = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
+        s = np.clip(s, 0.0, src - 1.0)
+        i0 = np.floor(s).astype(np.intp)
+        return i0, np.minimum(i0 + 1, src - 1), s - i0
+
+    r0, r1, wy = axis(x.shape[1], th)
+    c0, c1, wx = axis(x.shape[2], tw)
+    a = x[:, r0[:, None], c0[None, :]]
+    b = x[:, r0[:, None], c1[None, :]]
+    c = x[:, r1[:, None], c0[None, :]]
+    d = x[:, r1[:, None], c1[None, :]]
+    top = a + wx[None, :] * (b - a)
+    bot = c + wx[None, :] * (d - c)
+    return top + wy[:, None] * (bot - top)
+
+
 def bilinear_adjoint_oracle(g, h, w):
     """Transposed Jacobian of `bilinear_oracle` (linear in x) applied to g.
 
@@ -406,6 +426,21 @@ class TestConv2d:
         np.testing.assert_allclose(
             tx.grad, conv2d_input_grad_oracle(g, k, 5, 7, pad), atol=1e-12)
 
+    @pytest.mark.parametrize("kh,kw", [(1, 1), (2, 2), (3, 3), (1, 3)])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("c,o", [(4, 2), (2, 5)])
+    def test_forward_kernel_and_padding_grid(self, kh, kw, pad, with_bias,
+                                             c, o):
+        rng = np.random.default_rng(200 + 10 * kh + kw + pad + c)
+        x = rng.standard_normal((c, 5, 7))
+        k = rng.standard_normal((o, c, kh, kw))
+        b = rng.standard_normal(o) if with_bias else None
+        got = ad.conv2d(Tensor(x), Tensor(k), padding=pad,
+                        bias=None if b is None else Tensor(b)).data
+        np.testing.assert_allclose(got, conv2d_oracle(x, k, pad, b),
+                                   rtol=0, atol=1e-10)
+
     def test_even_kernel_sum(self):
         x = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
         k = Tensor(np.ones((1, 1, 2, 2)))
@@ -463,6 +498,20 @@ class TestPoolAndResize:
         for th, tw in [(5, 9), (14, 10), (3, 3), (1, 1)]:
             got = ad.bilinear_resize(Tensor(x), th, tw).data
             np.testing.assert_allclose(got, bilinear_oracle(x, th, tw), atol=1e-9)
+
+    @pytest.mark.parametrize("src,dst", [
+        ((6, 7), (6, 7)),      # identity
+        ((8, 6), (3, 2)),      # down, rows skipped
+        ((4, 3), (9, 8)),      # up
+        ((5, 9), (12, 4)),     # non-square, up in y and down in x
+        ((1, 5), (4, 3)),      # 1-pixel rows
+        ((5, 1), (2, 6)),      # 1-pixel columns
+        ((1, 1), (3, 2)),      # one pixel
+    ])
+    def test_bilinear_forward_equals_four_corner_form(self, src, dst):
+        x = np.random.default_rng(14).standard_normal((3,) + src)
+        np.testing.assert_array_equal(ad.bilinear_resize(Tensor(x), *dst).data,
+                                      bilinear_four_corner(x, *dst))
 
     def test_bilinear_identity_is_exact(self):
         rng = np.random.default_rng(11)

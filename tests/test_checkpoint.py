@@ -1,4 +1,4 @@
-"""Checkpoint save/load: lossless round-trip and shape policing."""
+"""Checkpoint save/load: lossless round-trip, shape and value policing."""
 
 import json
 
@@ -98,6 +98,31 @@ class TestRejection:
         doc = self._doc(tmp_path)
         del doc["params"]["head_g.bias"]
         with pytest.raises(DataError, match="head_g.bias"):
+            load_checkpoint(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_non_finite_parameter(self, tmp_path, value):
+        doc = self._doc(tmp_path)
+        doc["params"]["head_g.bias"]["data"][0] = value
+        with pytest.raises(DataError, match="'head_g.bias' has non-finite"):
+            load_checkpoint(self._write(tmp_path, doc))
+
+    def test_non_finite_optimizer_moment(self, tmp_path):
+        cfg = micro_cfg()
+        params = fresh(cfg)
+        save_checkpoint(tmp_path / "ckpt.json", cfg, params,
+                        make_optimizer(cfg, params))
+        doc = json.loads((tmp_path / "ckpt.json").read_text())
+        doc["optimizer"]["v"]["f_agg.kernel"]["data"][3] = float("nan")
+        with pytest.raises(DataError, match="'f_agg.kernel' has non-finite"):
+            load_checkpoint(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize("key", ["config", "params"])
+    def test_missing_section(self, tmp_path, key):
+        doc = self._doc(tmp_path)
+        del doc[key]
+        with pytest.raises(DataError, match=f"no '{key}' section"):
             load_checkpoint(self._write(tmp_path, doc))
 
     def test_garbage_file(self, tmp_path):

@@ -3,10 +3,36 @@
 import gc
 
 import numpy as np
+import pytest
 
+import dualseg.autodiff as ad
 from dualseg.autodiff import Tensor
 from dualseg.memory import LEDGER, AllocationLedger
 
+# Each allocating op on fixed inputs. The input tensors die with the call;
+# the output must own its buffer, or the ledger (which counts only arrays
+# with no base) misses it.
+RNG = np.random.default_rng(0)
+MAP = RNG.standard_normal((4, 6, 10))
+MAT = RNG.standard_normal((6, 5))
+K3 = RNG.standard_normal((5, 4, 3, 3))
+K1 = RNG.standard_normal((3, 4, 1, 1))
+T = Tensor
+ALLOCATING_OPS = {
+    "conv2d_3x3_pad1": lambda: ad.conv2d(T(MAP), T(K3), 1),
+    "conv2d_3x3_pad1_bias": lambda: ad.conv2d(T(MAP), T(K3), 1, T(np.ones(5))),
+    "conv2d_1x1": lambda: ad.conv2d(T(MAP), T(K1), 0),
+    "conv2d_1x1_bias": lambda: ad.conv2d(T(MAP), T(K1), 0, T(np.ones(3))),
+    "bilinear_up": lambda: ad.bilinear_resize(T(MAP), 13, 21),
+    "bilinear_down": lambda: ad.bilinear_resize(T(MAP), 3, 4),
+    "bilinear_identity": lambda: ad.bilinear_resize(T(MAP), 6, 10),
+    "matmul": lambda: ad.matmul(T(MAT), T(MAT.T)),
+    "avg_pool2d": lambda: ad.avg_pool2d(T(MAP), 2),
+    "softmax_rows": lambda: ad.softmax_rows(T(MAT)),
+    "relu": lambda: ad.relu(T(MAP)),
+    "concat_channels": lambda: ad.concat_channels([T(MAP), T(MAP[:1])]),
+    "transpose": lambda: ad.transpose(T(MAT)),
+}
 
 class TestLedgerArithmetic:
     def test_scripted_sequence_matches_hand_count(self):
@@ -67,3 +93,20 @@ class TestTensorWiring:
         del base, view
         gc.collect()
         assert LEDGER.current_bytes == before
+
+    @pytest.mark.parametrize("name", sorted(ALLOCATING_OPS))
+    def test_op_output_is_counted(self, name):
+        build = ALLOCATING_OPS[name]
+        gc.collect()
+        before = LEDGER.current_bytes
+        out = build()
+        gc.collect()
+        assert LEDGER.current_bytes - before == out.data.nbytes
+
+    def test_reshape_adds_nothing(self):
+        x = Tensor(MAP)
+        gc.collect()
+        before = LEDGER.current_bytes
+        out = ad.reshape(x, (4, 60))
+        assert LEDGER.current_bytes == before
+        assert np.shares_memory(out.data, x.data)

@@ -515,6 +515,19 @@ class TestForwardInfer:
         got = forward_infer(image, grid, params, settings, mode="patch")
         assert np.array_equal(got, want)
 
+    # origins into a 23x17 canvas, patch 8: interior, corner, flush with
+    # the bottom/right edges, and overhanging both edges by 4 and 5 pixels
+    @pytest.mark.parametrize("r,c", [(5, 3), (0, 0), (15, 9), (19, 12)])
+    def test_global_window_is_crop_of_full_resize(self, r, c):
+        xg = np.random.default_rng(20).standard_normal((4, 5, 6))
+        full = ad.bilinear_resize(Tensor(xg), 23, 17).data
+        win = model._global_window(xg, 23, 17, r, c, 8)
+        hh, ww = min(8, 23 - r), min(8, 17 - c)
+        assert win.shape == (4, 8, 8)
+        np.testing.assert_array_equal(win[:, :hh, :ww],
+                                      full[:, r:r + hh, c:c + ww])
+        assert not win[:, hh:].any() and not win[:, :, ww:].any()
+
     def test_patch_transient_flat_in_image_size(self):
         transients = []
         for side in (64, 128):
