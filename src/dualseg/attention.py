@@ -2,12 +2,15 @@
 
 Tokens are rows of a [n, d] matrix; a TokenSeq remembers which spatial
 grid they were flattened from (row-major) so attention masks can be
-built geometrically. Masking replaces disallowed scores with a large
-negative constant before the softmax, so a fully-allowed mask leaves the
-result bit-identical to running without one, and rows stay normalised
-over the allowed keys. A mask row that allows no keys would make the
-softmax meaningless, so that is rejected at construction time rather
-than silently renormalised.
+built geometrically. Each attention call is one fused autodiff op,
+`autodiff.sdpa`, which scales, masks and softmaxes the scores in place
+in a single [n_q, n_k] buffer; the allocation ledger counts that one
+buffer (as the probabilities) per call. Masking replaces disallowed
+scores with a large negative constant before the softmax, so a
+fully-allowed mask leaves the result bit-identical to running without
+one, and rows stay normalised over the allowed keys. A mask row that
+allows no keys would make the softmax meaningless, so that is rejected
+at construction time rather than silently renormalised.
 
 Attention here is single-head. Fusion runs both cross-directions
 independently and adds the attended values back onto the projected
@@ -27,8 +30,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError, InvalidMaskError
 from .tiling import TileGrid
-
-MASKED_SCORE = -1e9
 
 
 @dataclass
@@ -107,23 +108,12 @@ def project_qkv(f: TokenSeq, w: AttentionWeights) -> tuple[Tensor, Tensor, Tenso
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
                          mask: Optional[AttentionMask] = None) -> Tensor:
-    """softmax(q kᵀ / sqrt(d_k)) v with optional masking of the scores."""
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise DimensionError("scaled_dot_attention: q, k, v must be matrices")
-    if q.shape[1] != k.shape[1]:
-        raise DimensionError(
-            f"scaled_dot_attention: query dim {q.shape[1]} != key dim {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise DimensionError(
-            f"scaled_dot_attention: {k.shape[0]} keys vs {v.shape[0]} values")
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(q.shape[1]))
-    if mask is not None:
-        if mask.shape[1] != k.shape[0] or mask.shape[0] not in (1, q.shape[0]):
-            raise DimensionError(
-                f"scaled_dot_attention: mask {mask.shape} does not fit "
-                f"{q.shape[0]} queries x {k.shape[0]} keys")
-        scores = ad.masked_fill(scores, mask.allowed, MASKED_SCORE)
-    return ad.matmul(ad.softmax_rows(scores), v)
+    """softmax(q kᵀ / sqrt(d_k)) v with optional masking of the scores.
+
+    One `ad.sdpa` op: one tape record, one counted score buffer. It
+    raises DimensionError on shapes or a mask that do not fit.
+    """
+    return ad.sdpa(q, k, v, None if mask is None else mask.allowed)
 
 
 def self_attention(f: TokenSeq, w: AttentionWeights) -> TokenSeq:

@@ -7,6 +7,10 @@ tracks gradients, the operation appends a record to the tape.
 order, accumulating `.grad` arrays on every tracked tensor. A tape is
 single-use: backward on a consumed tape raises.
 
+Most ops are single numpy primitives. Attention is one fused op, `sdpa`,
+that works in place in one score buffer; its results are bit-identical
+to the chain of primitive ops it stands for.
+
 All public operations keep finite inputs finite (softmax subtracts the
 row max, logarithms clamp their argument), and everything is serial and
 deterministic for a fixed seed.
@@ -22,6 +26,10 @@ import numpy as np
 
 from .errors import DimensionError, UsageError
 from .memory import LEDGER
+
+# Score given to disallowed query/key pairs before the softmax: far enough
+# below any real score that exp() of it underflows to exactly 0.
+MASKED_SCORE = -1e9
 
 
 class Tensor:
@@ -389,6 +397,62 @@ def softmax_rows(x: Tensor) -> Tensor:
             x.accumulate_grad(y * (g - dot))
 
     return _maybe_record((x,), out, bw)
+
+
+def sdpa(q: Tensor, k: Tensor, v: Tensor,
+         keep: Optional[np.ndarray] = None) -> Tensor:
+    """softmax(mask(q kᵀ / sqrt(d))) v as one op over one score buffer.
+
+    q [n_q, d], k [n_k, d], v [n_k, d_v]; `keep` is boolean [n_q, n_k] or
+    a broadcast row [1, n_k] that allows at least one key per row (as
+    attention.AttentionMask ensures). Scores where it is False become
+    MASKED_SCORE, whose probability underflows to exactly 0, so their
+    gradient is 0 too. The scores are scaled, masked and softmaxed in
+    place in a buffer that a Tensor owns, so the ledger counts exactly one
+    [n_q, n_k] matrix, which backward keeps as the probabilities p. Every
+    expression, forward and backward, is that of the op chain transpose,
+    matmul, scale, masked_fill, softmax_rows, matmul, so results are
+    bit-identical to it.
+    """
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1] \
+            or k.shape[0] != v.shape[0]:
+        raise DimensionError(
+            f"sdpa: incompatible q {tuple(q.shape)}, k {tuple(k.shape)}, "
+            f"v {tuple(v.shape)}")
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool)
+        if keep.ndim != 2 or keep.shape[1] != k.shape[0] \
+                or keep.shape[0] not in (1, q.shape[0]):
+            raise DimensionError(
+                f"sdpa: keep {keep.shape} does not broadcast over "
+                f"{q.shape[0]} queries x {k.shape[0]} keys")
+    c = 1.0 / math.sqrt(q.shape[1])
+    kt = np.ascontiguousarray(k.data.T)
+    p = Tensor(q.data @ kt)
+    s = p.data
+    s *= c
+    if keep is not None:
+        np.copyto(s, MASKED_SCORE, where=~keep)
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+    out = Tensor(s @ v.data)
+
+    def bw(g):
+        if v.requires_grad:
+            v.accumulate_grad(p.data.T @ g)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        gp = g @ v.data.T
+        gp -= (gp * p.data).sum(axis=1, keepdims=True)
+        gp *= p.data
+        gp *= c
+        if q.requires_grad:
+            q.accumulate_grad(gp @ kt.T)
+        if k.requires_grad:
+            k.accumulate_grad((q.data.T @ gp).T)
+
+    return _maybe_record((q, k, v), out, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -214,11 +214,24 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return out
 
 
+def _json_type_ok(value, default) -> bool:
+    """True when a JSON value has the type of a field's default."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) \
+            and all(_json_type_ok(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     cfg = RunConfig()
     for key, value in raw.items():
         if key not in _FIELDS:
             raise ConfigError(f"checkpoint config: unknown key '{key}'")
+        if not _json_type_ok(value, _FIELDS[key].default):
+            raise ConfigError(f"checkpoint config: key '{key}' has the wrong "
+                              f"type ({value!r})")
         if isinstance(value, list):
             value = tuple(value)
         setattr(cfg, key, value)

@@ -396,21 +396,21 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
     return outputs, breakdown
 
 
-def _global_window(xg: np.ndarray, image_h: int, image_w: int,
-                   r: int, c: int, size: int) -> np.ndarray:
-    """Tile-sized window of bilinear_resize(xg, H, W) without building it.
+def _global_window(xg: np.ndarray, rows, cols, r: int, c: int,
+                   size: int) -> np.ndarray:
+    """Tile-sized window at (r, c) of bilinear_resize(xg, H, W), unbuilt.
 
-    The full-size resize's index/weight vectors are sliced to the window
-    and fed to the same separable gather (`_lerp2d`), so the window is
-    bit-identical to cropping the full resize; rows/cols beyond the image
-    stay zero (tiles may overhang the canvas).
+    `rows` and `cols` are the full-size resize's `_resize_axis(gh, H)` and
+    `_resize_axis(gw, W)`, computed once per image. Their index/weight
+    vectors are sliced to the window and fed to the same separable gather
+    (`_lerp2d`), so the window is bit-identical to cropping the full
+    resize; rows/cols beyond the image stay zero (tiles may overhang the
+    canvas).
     """
-    d, gh, gw = xg.shape
-    hh, ww = min(size, image_h - r), min(size, image_w - c)
-    rows = tuple(v[r:r + hh] for v in _resize_axis(gh, image_h))
-    cols = tuple(v[c:c + ww] for v in _resize_axis(gw, image_w))
-    out = np.zeros((d, size, size), dtype=xg.dtype)
-    out[:, :hh, :ww] = _lerp2d(xg, rows, cols)
+    hh, ww = min(size, len(rows[0]) - r), min(size, len(cols[0]) - c)
+    out = np.zeros((xg.shape[0], size, size), dtype=xg.dtype)
+    out[:, :hh, :ww] = _lerp2d(xg, tuple(v[r:r + hh] for v in rows),
+                               tuple(v[c:c + ww] for v in cols))
     return out
 
 
@@ -474,8 +474,9 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
     x_glb = np.ascontiguousarray(fused_g_mean.T.reshape(d, gh, gw))
 
     # global half: the coverage counts are final, so shares add directly
+    rows, cols = _resize_axis(gh, h), _resize_axis(gw, w)
     for r, c in grid.origins:
-        glb_win = Tensor(_global_window(x_glb, h, w, r, c, grid.patch))
+        glb_win = Tensor(_global_window(x_glb, rows, cols, r, c, grid.patch))
         acc.add_share(ad.conv2d(glb_win, agg_k_glb, padding=1).data, (r, c))
 
     if mem_report is not None:

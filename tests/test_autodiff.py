@@ -377,6 +377,102 @@ class TestSoftmax:
             ad.softmax_rows(Tensor(np.ones(4)))
 
 
+def sdpa_chain(q, k, v, keep=None):
+    """The op chain `ad.sdpa` fuses, as scaled_dot_attention once built it."""
+    s = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(q.shape[1]))
+    if keep is not None:
+        s = ad.masked_fill(s, keep, ad.MASKED_SCORE)
+    return ad.matmul(ad.softmax_rows(s), v)
+
+
+def _sdpa_masks(n_q, n_k):
+    rng = np.random.default_rng(12)
+    row = rng.random((1, n_k)) < 0.5
+    row[0, 2] = True
+    full = rng.random((n_q, n_k)) < 0.4
+    full[np.arange(n_q), rng.integers(0, n_k, n_q)] = True
+    return {"none": None, "row": row, "full": full,
+            "all_allowed": np.ones((n_q, n_k), dtype=bool)}
+
+
+SDPA_MASKS = _sdpa_masks(5, 7)
+
+
+class TestSdpa:
+    def _qkv(self, seed=5):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((5, 3)), rng.standard_normal((7, 3)),
+                rng.standard_normal((7, 4)))
+
+    def _run(self, fn, arrays, keep):
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        w = Tensor(np.random.default_rng(9).random((5, 4)) + 0.5)
+        with GradTape() as tape:
+            out = fn(*tensors, keep)
+            tape.backward(ad.sum_all(ad.mul(out, w)))
+        return out.data, [t.grad for t in tensors]
+
+    @pytest.mark.parametrize("mask", sorted(SDPA_MASKS))
+    def test_bitwise_equal_to_op_chain(self, mask):
+        keep = SDPA_MASKS[mask]
+        arrays = self._qkv()
+        got, got_grads = self._run(ad.sdpa, arrays, keep)
+        want, want_grads = self._run(sdpa_chain, arrays, keep)
+        assert got.tobytes() == want.tobytes()
+        for g, w in zip(got_grads, want_grads):
+            assert g.tobytes() == w.tobytes()
+
+    def test_all_allowed_mask_equals_no_mask(self):
+        arrays = self._qkv()
+        plain, plain_grads = self._run(ad.sdpa, arrays, None)
+        full, full_grads = self._run(ad.sdpa, arrays, SDPA_MASKS["all_allowed"])
+        assert plain.tobytes() == full.tobytes()
+        for g, w in zip(plain_grads, full_grads):
+            assert g.tobytes() == w.tobytes()
+
+    def test_masked_keys_get_no_weight(self):
+        q, k, v = self._qkv()
+        keep = SDPA_MASKS["row"]
+        out = ad.sdpa(Tensor(q), Tensor(k), Tensor(v), keep).data
+        kept = keep[0]
+        scores = q @ k[kept].T / math.sqrt(3)
+        np.testing.assert_allclose(out, softmax_oracle(scores) @ v[kept],
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("mask", ["none", "row", "full"])
+    def test_backward_matches_differences(self, mask):
+        keep = SDPA_MASKS[mask]
+        assert_grads_match(lambda q, k, v: ad.sdpa(q, k, v, keep),
+                           list(self._qkv(seed=6)))
+
+    def test_shared_input_accumulates_all_three_gradients(self):
+        x = np.random.default_rng(8).standard_normal((6, 6))
+        assert_grads_match(lambda t: ad.sdpa(t, t, t), [x.copy()])
+        got = Tensor(x, requires_grad=True)
+        want = Tensor(x, requires_grad=True)
+        for t, fn in ((got, ad.sdpa), (want, sdpa_chain)):
+            with GradTape() as tape:
+                tape.backward(ad.sum_all(fn(t, t, t)))
+        assert got.grad.tobytes() == want.grad.tobytes()
+
+    def test_one_tape_record(self):
+        q, k, v = (Tensor(a, requires_grad=True) for a in self._qkv())
+        with GradTape() as tape:
+            ad.sdpa(q, k, v, SDPA_MASKS["full"])
+        assert len(tape._records) == 1
+
+    def test_rejects_bad_shapes(self):
+        q, k, v = (Tensor(a) for a in self._qkv())
+        with pytest.raises(DimensionError, match="sdpa"):
+            ad.sdpa(q, Tensor(np.ones((7, 2))), v)
+        with pytest.raises(DimensionError, match="sdpa"):
+            ad.sdpa(q, k, Tensor(np.ones((6, 4))))
+        with pytest.raises(DimensionError, match="sdpa: keep"):
+            ad.sdpa(q, k, v, np.ones((2, 7), dtype=bool))
+        with pytest.raises(DimensionError, match="sdpa: keep"):
+            ad.sdpa(q, k, v, np.ones((1, 6), dtype=bool))
+
+
 class TestConv2d:
     def test_forward_matches_loop_oracle(self):
         rng = np.random.default_rng(5)

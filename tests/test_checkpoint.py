@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from dualseg.errors import DataError
+from dualseg.errors import ConfigError, DataError
+from dualseg.harness import checkpoint
 from dualseg.harness.checkpoint import (load_checkpoint, make_optimizer,
                                         save_checkpoint)
 from dualseg.harness.config import RunConfig
@@ -70,6 +71,64 @@ class TestRoundTrip:
         assert t.data.tobytes() == params2.by_name["f_agg.bias"].data.tobytes()
 
 
+def _set(path, value):
+    """Mutation of a checkpoint document: put `value` at the key `path`."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+    return mutate
+
+
+def _drop(*path):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return doc
+    return mutate
+
+
+BIAS = ("params", "head_g.bias")
+MOMENT = ("optimizer", "m", "f_agg.kernel")
+
+# valid JSON, wrong schema: (id, mutation, message the DataError carries)
+MALFORMED = [
+    ("top_level_list", lambda doc: [doc], "not a JSON object"),
+    ("top_level_number", lambda doc: 3, "not a JSON object"),
+    ("params_list", lambda doc: _set(("params",), list(doc["params"].values()))(doc),
+     "'params' is not an object"),
+    ("config_list", lambda doc: _set(("config",), list(doc["config"].items()))(doc),
+     "'config' is not an object"),
+    ("array_not_object", _set(BIAS, [0.0, 1.0]), "needs 'shape' and 'data'"),
+    ("array_without_shape", _drop(*BIAS, "shape"), "needs 'shape' and 'data'"),
+    ("array_without_data", _drop(*BIAS, "data"), "needs 'shape' and 'data'"),
+    ("shape_not_list", _set(BIAS + ("shape",), 3), "not a list of sizes"),
+    ("shape_of_strings", _set(BIAS + ("shape",), ["3"]), "not a list of sizes"),
+    ("shape_negative", _set(BIAS + ("shape",), [-3]), "not a list of sizes"),
+    ("data_strings", _set(BIAS + ("data",), ["a", "b"]), "not a flat list"),
+    ("data_numeric_strings", _set(BIAS + ("data",), ["0.5", "1"]),
+     "not a flat list"),
+    ("data_bools", _set(BIAS + ("data",), [True, False]), "not a flat list"),
+    ("data_nested", _set(BIAS + ("data",), [[0.5], [1.0]]), "not a flat list"),
+    ("data_scalar", _set(BIAS + ("data",), 0.5), "not a flat list"),
+    ("data_huge_int", _set(BIAS + ("data",), [10 ** 400]),
+     "too large for a float"),
+    ("shape_huge", _set(BIAS + ("shape",), [2 ** 63]), "values for shape"),
+    ("shape_huge_empty", _set(BIAS, {"shape": [0, 2 ** 63], "data": []}),
+     "too large for an array"),
+    ("optimizer_list", _set(("optimizer",), []), "'optimizer' is not an object"),
+    ("optimizer_without_v", _drop("optimizer", "v"), "optimizer has no 'v'"),
+    ("optimizer_step_string", _set(("optimizer", "step"), "1"), "not a count"),
+    ("optimizer_m_list", _set(("optimizer", "m"), []), "'m' is not an object"),
+    ("moment_without_shape", _drop(*MOMENT, "shape"), "needs 'shape' and 'data'"),
+    ("moment_strings", _set(MOMENT + ("data",), ["x"]), "not a flat list"),
+]
+
+
 class TestRejection:
     def _doc(self, tmp_path):
         cfg = micro_cfg()
@@ -125,6 +184,38 @@ class TestRejection:
         with pytest.raises(DataError, match=f"no '{key}' section"):
             load_checkpoint(self._write(tmp_path, doc))
 
+    @pytest.mark.parametrize("mutate,match", [m[1:] for m in MALFORMED],
+                             ids=[m[0] for m in MALFORMED])
+    def test_malformed_document(self, tmp_path, mutate, match):
+        cfg = micro_cfg()
+        params = fresh(cfg)
+        save_checkpoint(tmp_path / "ckpt.json", cfg, params,
+                        make_optimizer(cfg, params))
+        doc = mutate(json.loads((tmp_path / "ckpt.json").read_text()))
+        with pytest.raises(DataError, match=match):
+            load_checkpoint(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize("key,value", [("d_model", "4"), ("patch", 8.0),
+                                           ("use_mask", 1),
+                                           ("stage_channels", [4, "4"]),
+                                           ("downsample", True)])
+    def test_mistyped_config_value(self, tmp_path, key, value):
+        doc = self._doc(tmp_path)
+        doc["config"][key] = value
+        with pytest.raises(ConfigError, match=f"'{key}' has the wrong type"):
+            load_checkpoint(self._write(tmp_path, doc))
+
+    def test_optimizer_moments_for_wrong_parameters(self, tmp_path):
+        cfg = micro_cfg()
+        params = fresh(cfg)
+        save_checkpoint(tmp_path / "ckpt.json", cfg, params,
+                        make_optimizer(cfg, params))
+        doc = json.loads((tmp_path / "ckpt.json").read_text())
+        del doc["optimizer"]["v"]["f_agg.kernel"]
+        cfg2, params2, opt_state = load_checkpoint(self._write(tmp_path, doc))
+        with pytest.raises(DataError, match="wrong parameters"):
+            make_optimizer(cfg2, params2, opt_state)
+
     def test_garbage_file(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
@@ -134,3 +225,33 @@ class TestRejection:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_checkpoint(tmp_path / "nope.json")
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path,
+                                                    monkeypatch):
+        cfg = micro_cfg()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, cfg, fresh(cfg, seed=0))
+        before = path.read_bytes()
+
+        def dump_then_fail(doc, f, **kwargs):
+            f.write('{"config":{')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(checkpoint.json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, cfg, fresh(cfg, seed=1))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+    def test_overwrite_replaces_contents(self, tmp_path):
+        cfg = micro_cfg()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, cfg, fresh(cfg, seed=0))
+        params = fresh(cfg, seed=1)
+        save_checkpoint(path, cfg, params)
+        _, loaded, _ = load_checkpoint(path)
+        for name, t in params.named().items():
+            assert t.data.tobytes() == loaded.by_name[name].data.tobytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]

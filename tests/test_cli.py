@@ -138,6 +138,19 @@ class TestExitCodes:
         assert "'f_agg.bias' has non-finite" in err
         assert not (tmp_path / "pred").exists()
 
+    def test_malformed_checkpoint_is_3(self, workspace, tmp_path, capsys):
+        doc = json.loads((workspace / "run/ckpt.json").read_text())
+        del doc["params"]["f_agg.bias"]["shape"]
+        ckpt = tmp_path / "noshape.json"
+        ckpt.write_text(json.dumps(doc))
+        assert main(["infer", "--ckpt", str(ckpt),
+                     "--image", str(workspace / "data/val/scene_0000.ppm"),
+                     "--out", str(tmp_path / "pred")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'f_agg.bias' needs 'shape' and 'data'" in err
+        assert not (tmp_path / "pred").exists()
+
     def test_gradcheck_corruption_is_4(self, tmp_path, capsys,
                                        scale_matmul_input_grad):
         cfg = tmp_path / "micro.cfg"

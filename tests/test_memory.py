@@ -32,6 +32,7 @@ ALLOCATING_OPS = {
     "relu": lambda: ad.relu(T(MAP)),
     "concat_channels": lambda: ad.concat_channels([T(MAP), T(MAP[:1])]),
     "transpose": lambda: ad.transpose(T(MAT)),
+    "sdpa": lambda: ad.sdpa(T(MAT), T(MAT), T(MAT[:, :2])),
 }
 
 class TestLedgerArithmetic:
@@ -102,6 +103,22 @@ class TestTensorWiring:
         out = build()
         gc.collect()
         assert LEDGER.current_bytes - before == out.data.nbytes
+
+    def test_sdpa_counts_one_score_buffer(self):
+        n_q, n_k = 40, 50
+        rng = np.random.default_rng(1)
+        q, k, v = (Tensor(rng.standard_normal(s))
+                   for s in ((n_q, 3), (n_k, 3), (n_k, 2)))
+        gc.collect()
+        base = LEDGER.reset_peak()
+        out = ad.sdpa(q, k, v, np.ones((1, n_k), dtype=bool))
+        score = n_q * n_k * 8
+        # the probabilities are held by a Tensor while the op runs, and
+        # there is exactly one such [n_q, n_k] buffer
+        assert LEDGER.peak_bytes - base >= score
+        assert LEDGER.peak_bytes - base < 2 * score
+        gc.collect()
+        assert LEDGER.current_bytes - base == out.data.nbytes
 
     def test_reshape_adds_nothing(self):
         x = Tensor(MAP)

@@ -83,7 +83,9 @@ def two_pass_infer_oracle(image, grid, params, settings):
     for i, (r, c) in enumerate(grid.origins):
         _, loc_up = model._tile_forward(image, grid, i, glb_seq, q_g, k_g,
                                         v_g, params, settings)
-        glb_win = Tensor(model._global_window(x_glb, h, w, r, c, grid.patch))
+        glb_win = Tensor(model._global_window(
+            x_glb, ad._resize_axis(gh, h), ad._resize_axis(gw, w), r, c,
+            grid.patch))
         s_agg = ad.conv2d(ad.concat_channels([glb_win, loc_up]), agg_k,
                           padding=1, bias=agg_b).data
         hh, ww = min(grid.patch, h - r), min(grid.patch, w - c)
@@ -521,7 +523,8 @@ class TestForwardInfer:
     def test_global_window_is_crop_of_full_resize(self, r, c):
         xg = np.random.default_rng(20).standard_normal((4, 5, 6))
         full = ad.bilinear_resize(Tensor(xg), 23, 17).data
-        win = model._global_window(xg, 23, 17, r, c, 8)
+        win = model._global_window(xg, ad._resize_axis(5, 23),
+                                   ad._resize_axis(6, 17), r, c, 8)
         hh, ww = min(8, 23 - r), min(8, 17 - c)
         assert win.shape == (4, 8, 8)
         np.testing.assert_array_equal(win[:, :hh, :ww],
