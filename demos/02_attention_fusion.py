@@ -21,8 +21,8 @@ g_spatial = (4, 4)
 n_g = g_spatial[0] * g_spatial[1]
 d = 8
 
-global_tokens = TokenSeq(Tensor(rng.normal(size=(n_g, d))), "global", g_spatial)
-local_tokens = TokenSeq(Tensor(rng.normal(size=(16, d))), "local:0", (4, 4))
+global_tokens = TokenSeq(Tensor(rng.normal(size=(n_g, d))), g_spatial)
+local_tokens = TokenSeq(Tensor(rng.normal(size=(16, d))), (4, 4))
 
 w = AttentionWeights(d, d, rng=rng)
 refined = self_attention(global_tokens, w)

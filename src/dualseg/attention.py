@@ -37,7 +37,6 @@ class TokenSeq:
     """Flattened feature map: tokens[h * w, d] in row-major spatial order."""
 
     tokens: Tensor
-    origin: str            # "global" or "local:<index>", informational
     spatial: tuple[int, int]
 
     def __post_init__(self):
@@ -122,7 +121,7 @@ def self_attention(f: TokenSeq, w: AttentionWeights) -> TokenSeq:
     Pure attention output; callers that want a residual add it themselves.
     """
     q, k, v = project_qkv(f, w)
-    return TokenSeq(scaled_dot_attention(q, k, v), f.origin, f.spatial)
+    return TokenSeq(scaled_dot_attention(q, k, v), f.spatial)
 
 
 def cross_fuse(q_g: Tensor, k_l: Tensor, v_l: Tensor,

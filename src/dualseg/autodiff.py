@@ -18,6 +18,7 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from typing import Callable, Optional, Sequence
@@ -35,8 +36,8 @@ MASKED_SCORE = -1e9
 class Tensor:
     """Dense n-dimensional array, row-major, optionally gradient-tracked."""
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype or np.float64)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
@@ -63,9 +64,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             # An owned copy: `g` may be a view, or be handed to several
@@ -90,10 +88,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def zeros(shape, requires_grad=False) -> Tensor:
@@ -546,25 +540,37 @@ def avg_pool2d(x: Tensor, factor: int = 2) -> Tensor:
     return _maybe_record((x,), out, bw)
 
 
+@functools.lru_cache(maxsize=128)
 def _resize_axis(src: int, dst: int):
-    """Half-pixel source coordinates for each destination index."""
+    """Half-pixel source coordinates for each destination index.
+
+    Returns (i0, i1, weight) for the 1-D lerp from `src` to `dst` samples.
+    Memoised, since every tile resizes between the same few sizes; the
+    arrays are shared between callers and therefore read-only.
+    """
     s = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
     s = np.clip(s, 0.0, src - 1.0)
     i0 = np.floor(s).astype(np.intp)
     i1 = np.minimum(i0 + 1, src - 1)
-    return i0, i1, s - i0
+    w = s - i0
+    for a in (i0, i1, w):
+        a.flags.writeable = False
+    return i0, i1, w
 
 
+@functools.lru_cache(maxsize=128)
 def _resize_matrix(src: int, dst: int) -> np.ndarray:
     """[dst, src] matrix of the 1-D interpolation along one axis.
 
     Where the edge clamp gives i0 == i1, both weights land in one entry.
+    Memoised and read-only, like `_resize_axis`.
     """
     i0, i1, w = _resize_axis(src, dst)
     m = np.zeros((dst, src))
     rows = np.arange(dst)
     m[rows, i0] += 1.0 - w
     m[rows, i1] += w
+    m.flags.writeable = False
     return m
 
 

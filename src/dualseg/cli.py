@@ -8,6 +8,7 @@ inconsistent files, bad shapes/values), 4 failed check.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,11 +19,11 @@ from .errors import (CheckFailure, ConfigError, DataError, DimensionError,
                      InvalidMaskError, UsageError)
 from .harness import netpbm
 from .harness.checkpoint import load_checkpoint
-from .harness.config import RunConfig, parse_config
+from .harness.config import RunConfig, parse_config, parse_config_text
 from .harness.data import gen_data
-from .harness.train import (GRADCHECK_TOLERANCE, ablate, bench_memory,
+from .harness.train import (GRADCHECK_TOLERANCE, MICRO, ablate, bench_memory,
                             evaluate_dirs, run_gradcheck, train_run)
-from .model import TrainSettings, forward_infer
+from .model import forward_infer
 from .tiling import plan_grid
 
 PALETTE = np.array([
@@ -37,10 +38,7 @@ def _load_config(args) -> RunConfig:
         overrides["seed"] = args.seed
     if args.config:
         return parse_config(args.config, overrides)
-    cfg = RunConfig()
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg.validate()
+    return parse_config_text("", overrides)
 
 
 def _cmd_gen_data(args) -> int:
@@ -122,12 +120,8 @@ def _cmd_gradcheck(args) -> int:
         cfg = parse_config(args.config)
         backbone = cfg.backbone()
         num_classes = cfg.num_classes
-        settings = TrainSettings(global_size=8,
-                                 use_self_attn=cfg.use_self_attn,
-                                 use_mask=cfg.use_mask,
-                                 focal_gamma=cfg.focal_gamma,
-                                 coupling_lambda=cfg.coupling_lambda,
-                                 mask_dilation=cfg.mask_dilation)
+        settings = dataclasses.replace(cfg.settings(),
+                                       global_size=MICRO["global_size"])
     report = run_gradcheck(backbone, settings, num_classes,
                            seed=args.seed or 0)
     print(json.dumps(report))

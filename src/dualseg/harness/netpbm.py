@@ -8,6 +8,8 @@ always emit the canonical three-line header.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from ..errors import DataError, DimensionError
@@ -51,6 +53,12 @@ def _read_header(f, magic: bytes) -> tuple[int, int]:
 
 
 def _read_payload(f, count: int) -> np.ndarray:
+    """The next `count` bytes; a header that promises more bytes than the
+    file holds is refused before anything is allocated."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if count > left:
+        raise DataError(
+            f"netpbm: payload truncated ({left} of {count} bytes)")
     raw = f.read(count)
     if len(raw) != count:
         raise DataError(

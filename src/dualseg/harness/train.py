@@ -8,6 +8,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import glob
 import json
 import os
@@ -252,10 +253,9 @@ def ablate(cfg: RunConfig, data_dir: str, out_csv: str,
     for variant, use_sa, use_mask in FLAG_VARIANTS:
         scores = []
         for seed in range(n_seeds):
-            run_cfg = RunConfig(**{**cfg.__dict__,
-                                   "use_self_attn": use_sa,
-                                   "use_mask": use_mask,
-                                   "seed": seed}).validate()
+            run_cfg = dataclasses.replace(cfg, use_self_attn=use_sa,
+                                          use_mask=use_mask,
+                                          seed=seed).validate()
             with_dir = os.path.join(os.path.dirname(out_csv) or ".",
                                     f"_ablate_{variant}_s{seed}")
             train_run(run_cfg, os.path.join(data_dir, "train"), with_dir,

@@ -17,7 +17,8 @@ fused global tokens are averaged over tiles. A 3x3 conv over the
 channel-concat of both (global resized up to canvas size) yields the
 aggregate logits. Training adds per-branch 1x1 heads and combines three
 focal losses with a Euclidean penalty tying the two branches' features
-together.
+together; the penalty reads the same resized global map as the concat,
+so a training step builds that [d, H, W] map once.
 
 Inference (`forward_infer`) runs the same per-tile pipeline
 (`_tile_forward`) without a tape, once per tile in patch mode (bounded
@@ -148,10 +149,6 @@ class ModelParams:
     def f_agg(self) -> tuple[Tensor, Tensor]:
         return self.by_name["f_agg.kernel"], self.by_name["f_agg.bias"]
 
-    def zero_grads(self) -> None:
-        for t in self.by_name.values():
-            t.grad = None
-
     @classmethod
     def from_named(cls, backbone: BackboneConfig, num_classes: int,
                    named: dict[str, Tensor]) -> "ModelParams":
@@ -174,10 +171,8 @@ class ModelParams:
 @dataclass
 class BranchOutputs:
     x_glb: Tensor                    # fused global feature map [d, gh, gw]
-    x_loc: list[Tensor]              # fused local map per tile [d, patch, patch]
     x_loc_full: Tensor               # stitched local features [d, H, W]
     s_glb: Tensor                    # global-branch logits [K, gh, gw]
-    s_loc: list[Tensor]              # per-tile logits [K, patch, patch]
     s_agg: Tensor                    # aggregate logits [K, H, W]
 
 
@@ -208,9 +203,9 @@ def backbone_forward(x: Tensor, params: ModelParams, branch: str,
     return x
 
 
-def tokens_from_map(x: Tensor, origin: str) -> TokenSeq:
+def tokens_from_map(x: Tensor) -> TokenSeq:
     d, h, w = x.shape
-    return TokenSeq(ad.transpose(ad.reshape(x, (d, h * w))), origin, (h, w))
+    return TokenSeq(ad.transpose(ad.reshape(x, (d, h * w))), (h, w))
 
 
 def map_from_tokens(seq: TokenSeq) -> Tensor:
@@ -221,7 +216,7 @@ def map_from_tokens(seq: TokenSeq) -> Tensor:
 def refine_tokens(seq: TokenSeq, weights: AttentionWeights) -> TokenSeq:
     """Residual self-attention: tokens + attention(tokens)."""
     att = self_attention(seq, weights)
-    return TokenSeq(ad.add(seq.tokens, att.tokens), seq.origin, seq.spatial)
+    return TokenSeq(ad.add(seq.tokens, att.tokens), seq.spatial)
 
 
 def downsample_labels_nn(labels: np.ndarray, th: int, tw: int) -> np.ndarray:
@@ -271,14 +266,14 @@ def focal_loss(logits: Tensor, targets: np.ndarray, gamma: float) -> Tensor:
 def coupling_penalty(x_loc: Tensor, x_glb: Tensor) -> Tensor:
     """Euclidean (Frobenius) norm of the branch feature difference.
 
-    The global map is bilinearly resized to the local map's dims first;
-    the result is 0 exactly when the aligned tensors are equal.
+    Both maps are [d, H, W]; the caller passes the global map already
+    resized to the local map's size (forward_train hands over the one it
+    built for the aggregation concat). The result is 0 exactly when the
+    two tensors are equal.
     """
-    if x_loc.ndim != 3 or x_glb.ndim != 3 or x_loc.shape[0] != x_glb.shape[0]:
+    if x_loc.ndim != 3 or x_glb.shape != x_loc.shape:
         raise DimensionError(
             f"coupling_penalty: incompatible {tuple(x_loc.shape)} vs {tuple(x_glb.shape)}")
-    if x_glb.shape != x_loc.shape:
-        x_glb = ad.bilinear_resize(x_glb, x_loc.shape[1], x_loc.shape[2])
     diff = ad.sub(x_loc, x_glb)
     return ad.sqrt(ad.sum_all(ad.mul(diff, diff)))
 
@@ -299,16 +294,16 @@ def _global_tokens(image: Tensor, params: ModelParams,
     g = settings.global_size
     small = ad.bilinear_resize(image, g, g)
     fmap = backbone_forward(small, params, "g")
-    seq = tokens_from_map(fmap, "global")
+    seq = tokens_from_map(fmap)
     if settings.use_self_attn:
         seq = refine_tokens(seq, params.attn("sa_g"))
     return seq
 
 
-def _local_tokens(tile: np.ndarray, index: int, params: ModelParams,
+def _local_tokens(tile: np.ndarray, params: ModelParams,
                   settings: TrainSettings) -> TokenSeq:
     fmap = backbone_forward(Tensor(tile), params, "l", skip_last_pool=True)
-    seq = tokens_from_map(fmap, f"local:{index}")
+    seq = tokens_from_map(fmap)
     if settings.use_self_attn:
         seq = refine_tokens(seq, params.attn("sa_l"))
     return seq
@@ -320,15 +315,14 @@ def _tile_forward(image: np.ndarray, grid: TileGrid, i: int,
                   ) -> tuple[Tensor, Tensor]:
     """Tile `i`'s fused global tokens and fused local map, upsampled to
     [d, patch, patch]: the one tile pipeline of training and inference."""
-    loc_seq = _local_tokens(extract_patch(image, grid, i), i, params, settings)
+    loc_seq = _local_tokens(extract_patch(image, grid, i), params, settings)
     q_l, k_l, v_l = project_qkv(loc_seq, params.attn("fuse_l"))
     mask_lg = build_patch_mask(grid, i, glb_seq.spatial,
                                settings.mask_dilation) \
         if settings.use_mask else None
     fused_g_i, fused_l_i = cross_fuse(q_g, k_l, v_l, q_l, k_g, v_g,
                                       mask_gl=None, mask_lg=mask_lg)
-    loc_map = map_from_tokens(TokenSeq(fused_l_i, loc_seq.origin,
-                                       loc_seq.spatial))
+    loc_map = map_from_tokens(TokenSeq(fused_l_i, loc_seq.spatial))
     return fused_g_i, ad.bilinear_resize(loc_map, grid.patch, grid.patch)
 
 
@@ -351,7 +345,6 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
     fused_g_parts: list[Tensor] = []
     loc_maps_up: list[Tensor] = []
     loc_losses: list[Tensor] = []
-    s_loc_list: list[Tensor] = []
     head_l_k, head_l_b = params.head("l")
     for i in range(grid.n_tiles):
         fused_g_i, loc_up = _tile_forward(image, grid, i, glb_seq, q_g, k_g,
@@ -359,12 +352,11 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
         fused_g_parts.append(fused_g_i)
         loc_maps_up.append(loc_up)
         s_loc = ad.conv2d(loc_up, head_l_k, padding=0, bias=head_l_b)
-        s_loc_list.append(s_loc)
         tile_labels = extract_label_patch(labels, grid, i)
         loc_losses.append(focal_loss(s_loc, tile_labels, settings.focal_gamma))
 
     x_glb_tokens = _mean_tensors(fused_g_parts)
-    x_glb = map_from_tokens(TokenSeq(x_glb_tokens, "global", glb_seq.spatial))
+    x_glb = map_from_tokens(TokenSeq(x_glb_tokens, glb_seq.spatial))
     x_loc_full = stitch(loc_maps_up, grid)
 
     head_g_k, head_g_b = params.head("g")
@@ -380,34 +372,33 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
     main_t = focal_loss(s_agg, labels, settings.focal_gamma)
     aux_g_t = focal_loss(s_glb, labels_g, settings.focal_gamma)
     aux_l_t = _mean_tensors(loc_losses)
-    coupling_t = coupling_penalty(x_loc_full, x_glb)
+    coupling_t = coupling_penalty(x_loc_full, glb_up)
 
     lam = settings.coupling_lambda
     total_t = ad.add(ad.add(main_t, aux_g_t), aux_l_t)
     if lam != 0.0:
         total_t = ad.add(total_t, ad.scale(coupling_t, lam))
 
-    outputs = BranchOutputs(x_glb=x_glb, x_loc=loc_maps_up,
-                            x_loc_full=x_loc_full, s_glb=s_glb,
-                            s_loc=s_loc_list, s_agg=s_agg)
+    outputs = BranchOutputs(x_glb=x_glb, x_loc_full=x_loc_full, s_glb=s_glb,
+                            s_agg=s_agg)
     breakdown = LossBreakdown(
         main=main_t.item(), aux_global=aux_g_t.item(), aux_local=aux_l_t.item(),
         coupling=coupling_t.item(), total=total_t.item(), total_tensor=total_t)
     return outputs, breakdown
 
 
-def _global_window(xg: np.ndarray, rows, cols, r: int, c: int,
+def _global_window(xg: np.ndarray, h: int, w: int, r: int, c: int,
                    size: int) -> np.ndarray:
-    """Tile-sized window at (r, c) of bilinear_resize(xg, H, W), unbuilt.
+    """Tile-sized window at (r, c) of bilinear_resize(xg, h, w), unbuilt.
 
-    `rows` and `cols` are the full-size resize's `_resize_axis(gh, H)` and
-    `_resize_axis(gw, W)`, computed once per image. Their index/weight
-    vectors are sliced to the window and fed to the same separable gather
-    (`_lerp2d`), so the window is bit-identical to cropping the full
-    resize; rows/cols beyond the image stay zero (tiles may overhang the
-    canvas).
+    The full-size resize's axis tables (`_resize_axis`, memoised in
+    autodiff) are sliced to the window and fed to the same separable
+    gather (`_lerp2d`), so the window is bit-identical to cropping the
+    full resize; rows/cols beyond the image stay zero (tiles may overhang
+    the canvas).
     """
-    hh, ww = min(size, len(rows[0]) - r), min(size, len(cols[0]) - c)
+    rows, cols = _resize_axis(xg.shape[1], h), _resize_axis(xg.shape[2], w)
+    hh, ww = min(size, h - r), min(size, w - c)
     out = np.zeros((xg.shape[0], size, size), dtype=xg.dtype)
     out[:, :hh, :ww] = _lerp2d(xg, tuple(v[r:r + hh] for v in rows),
                                tuple(v[c:c + ww] for v in cols))
@@ -474,9 +465,8 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
     x_glb = np.ascontiguousarray(fused_g_mean.T.reshape(d, gh, gw))
 
     # global half: the coverage counts are final, so shares add directly
-    rows, cols = _resize_axis(gh, h), _resize_axis(gw, w)
     for r, c in grid.origins:
-        glb_win = Tensor(_global_window(x_glb, rows, cols, r, c, grid.patch))
+        glb_win = Tensor(_global_window(x_glb, h, w, r, c, grid.patch))
         acc.add_share(ad.conv2d(glb_win, agg_k_glb, padding=1).data, (r, c))
 
     if mem_report is not None:

@@ -149,9 +149,6 @@ class StitchAccumulator:
                 f"StitchAccumulator.{method}: origin {origin} outside canvas")
         return values[:, :hh, :ww], (slice(r, r + hh), slice(c, c + ww))
 
-    def uncovered(self) -> int:
-        return int((self.count == 0).sum())
-
 
 def stitch(patches: Sequence[Tensor], grid: TileGrid) -> Tensor:
     """Differentiable overlap-average of per-tile maps onto the full canvas.

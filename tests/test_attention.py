@@ -52,11 +52,11 @@ def fuse_oracle(q_g, k_l, v_l, q_l, k_g, v_g, allowed_gl=None, allowed_lg=None):
     return og + q_g, ol + q_l
 
 
-def seq(tokens, origin="global", spatial=None):
+def seq(tokens, spatial=None):
     t = np.asarray(tokens, dtype=np.float64)
     if spatial is None:
         spatial = (t.shape[0], 1)
-    return TokenSeq(Tensor(t), origin, spatial)
+    return TokenSeq(Tensor(t), spatial)
 
 
 class TestMaskType:
@@ -263,9 +263,8 @@ class TestSelfAttention:
         np.testing.assert_allclose(out, want, atol=1e-10)
 
     def test_preserves_sequence_metadata(self):
-        f = seq(np.ones((4, 3)), origin="local:2", spatial=(2, 2))
+        f = seq(np.ones((4, 3)), spatial=(2, 2))
         out = self_attention(f, AttentionWeights(3, 3))
-        assert out.origin == "local:2"
         assert out.spatial == (2, 2)
 
 

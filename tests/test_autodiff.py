@@ -210,12 +210,6 @@ class TestTensorBasics:
         np.testing.assert_array_equal((ta * tb).data, a * b)
         np.testing.assert_allclose((Tensor(a) @ Tensor(b.T)).data, a @ b.T)
 
-    def test_detach_copies(self):
-        t = Tensor([1.0, 2.0])
-        d = t.detach()
-        d.data[0] = 9.0
-        assert t.data[0] == 1.0
-
 
 class TestTapeSemantics:
     def test_ops_outside_tape_do_not_track(self):
@@ -650,6 +644,17 @@ class TestPoolAndResize:
     def test_bilinear_rejects_bad_target(self):
         with pytest.raises(DimensionError):
             ad.bilinear_resize(Tensor(np.ones((1, 4, 4))), 0, 4)
+
+    def test_resize_tables_are_shared_and_read_only(self):
+        first = ad._resize_axis(16, 32)
+        again = ad._resize_axis(16, 32)
+        assert all(a is b for a, b in zip(first, again))
+        m = ad._resize_matrix(16, 32)
+        assert ad._resize_matrix(16, 32) is m
+        for arr in first + (m,):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestElementwise:

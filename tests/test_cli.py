@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from dualseg import cli
 from dualseg.cli import main
+from dualseg.harness.train import MICRO
+from dualseg.model import TrainSettings
 from dualseg.harness.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 
 MICRO_CFG = """
@@ -125,6 +128,15 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 3
         capsys.readouterr()
 
+    def test_oversized_image_header_is_3(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "huge.ppm"
+        bad.write_bytes(b"P6\n8000 8000\n255\n" + bytes(12))
+        assert main(["infer", "--ckpt", str(workspace / "run/ckpt.json"),
+                     "--image", str(bad), "--out", str(tmp_path / "pred")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "truncated (12 of 192000000 bytes)" in err
+
     def test_nan_checkpoint_is_3(self, workspace, tmp_path, capsys):
         doc = json.loads((workspace / "run/ckpt.json").read_text())
         doc["params"]["f_agg.bias"]["data"][0] = float("nan")
@@ -168,6 +180,30 @@ class TestExitCodes:
         cfg.write_text("stage_channels = 1,1\nd_model = 1\nnum_classes = 2\n")
         assert main(["gradcheck", "--config", str(cfg), "--seed", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"]
+
+
+class TestGradcheckConfig:
+    def test_config_settings_pass_through(self, tmp_path, capsys,
+                                          monkeypatch):
+        # every TrainSettings field off its default; only global_size is
+        # replaced by the micro model's
+        cfg = tmp_path / "knobs.cfg"
+        cfg.write_text("global_size = 16\nuse_self_attn = false\n"
+                       "use_mask = false\nfocal_gamma = 1.5\n"
+                       "coupling_lambda = 0.3\nmask_dilation = 2\n")
+        seen = []
+
+        def fake_run_gradcheck(backbone, settings, num_classes, seed):
+            seen.append(settings)
+            return {"passed": True, "max_rel_err": 0.0}
+
+        monkeypatch.setattr(cli, "run_gradcheck", fake_run_gradcheck)
+        assert main(["gradcheck", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert seen == [TrainSettings(
+            global_size=MICRO["global_size"], use_self_attn=False,
+            use_mask=False, focal_gamma=1.5, coupling_lambda=0.3,
+            mask_dilation=2)]
 
 
 class TestBenchMemory:

@@ -1,5 +1,7 @@
 """Binary PPM/PGM round-trips and header handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,25 @@ class TestHeaderTolerance:
         path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
         with pytest.raises(DataError, match="truncated"):
             read_pgm(path)
+
+    # 17 header bytes + 12 payload bytes: 29 bytes that claim 8000x8000
+    HUGE_HEADERS = [("P6", read_ppm, 8000 * 8000 * 3),
+                    ("P5", read_pgm, 8000 * 8000)]
+
+    @pytest.mark.parametrize("magic,read,claimed", HUGE_HEADERS)
+    def test_oversized_header_refused_before_allocating(self, tmp_path, magic,
+                                                        read, claimed):
+        path = tmp_path / "huge.pnm"
+        path.write_bytes(magic.encode() + b"\n8000 8000\n255\n" + bytes(12))
+        assert path.stat().st_size == 29
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=f"12 of {claimed} bytes"):
+                read(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "short.ppm"
