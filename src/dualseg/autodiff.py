@@ -8,8 +8,12 @@ order, accumulating `.grad` arrays on every tracked tensor. A tape is
 single-use: backward on a consumed tape raises.
 
 Most ops are single numpy primitives. Attention is one fused op, `sdpa`,
-that works in place in one score buffer; its results are bit-identical
-to the chain of primitive ops it stands for.
+that scores, masks and softmaxes blocks of query rows in place. When the
+op is taped the blocks are slices of the whole probability matrix, which
+backward reads; otherwise one block-sized buffer is reused, so untaped
+attention holds at most SDPA_BLOCK_ROWS rows of scores. A call that fits
+in one block is bit-identical to the chain of primitive ops it stands
+for; longer calls agree with it to rounding.
 
 All public operations keep finite inputs finite (softmax subtracts the
 row max, logarithms clamp their argument), and everything is serial and
@@ -31,6 +35,10 @@ from .memory import LEDGER
 # Score given to disallowed query/key pairs before the softmax: far enough
 # below any real score that exp() of it underflows to exactly 0.
 MASKED_SCORE = -1e9
+
+# Query rows per block of sdpa's forward when no backward needs the whole
+# probability matrix; a row count, so the block still grows with n_k.
+SDPA_BLOCK_ROWS = 256
 
 
 class Tensor:
@@ -153,12 +161,17 @@ class GradTape:
 _ACTIVE_TAPE: Optional[GradTape] = None
 
 
+def _recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on `inputs` is taped: a tape is active and an input
+    tracks gradients."""
+    return _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
+
+
 def _maybe_record(inputs: Sequence[Tensor], output: Tensor,
                   backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    tape = _ACTIVE_TAPE
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if _recording(inputs):
         output.requires_grad = True
-        tape.record(output, backward_fn)
+        _ACTIVE_TAPE.record(output, backward_fn)
     return output
 
 
@@ -395,18 +408,24 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def sdpa(q: Tensor, k: Tensor, v: Tensor,
          keep: Optional[np.ndarray] = None) -> Tensor:
-    """softmax(mask(q kᵀ / sqrt(d))) v as one op over one score buffer.
+    """softmax(mask(q kᵀ / sqrt(d))) v as one op, streamed by query rows.
 
     q [n_q, d], k [n_k, d], v [n_k, d_v]; `keep` is boolean [n_q, n_k] or
     a broadcast row [1, n_k] that allows at least one key per row (as
     attention.AttentionMask ensures). Scores where it is False become
     MASKED_SCORE, whose probability underflows to exactly 0, so their
-    gradient is 0 too. The scores are scaled, masked and softmaxed in
-    place in a buffer that a Tensor owns, so the ledger counts exactly one
-    [n_q, n_k] matrix, which backward keeps as the probabilities p. Every
+    gradient is 0 too. The forward pass walks blocks of at most
+    SDPA_BLOCK_ROWS query rows; each row sees all its keys, so the
+    softmax is exact. A block is scored, scaled, masked and softmaxed in
+    place in a buffer that a Tensor owns, then multiplied into its rows
+    of the output. When the op is taped the blocks are slices of one
+    [n_q, n_k] matrix, which backward keeps as the probabilities p;
+    otherwise one [min(n_q, SDPA_BLOCK_ROWS), n_k] buffer is reused for
+    every block. The ledger counts that one buffer either way. Every
     expression, forward and backward, is that of the op chain transpose,
-    matmul, scale, masked_fill, softmax_rows, matmul, so results are
-    bit-identical to it.
+    matmul, scale, masked_fill, softmax_rows, matmul, so a call with
+    n_q <= SDPA_BLOCK_ROWS is bit-identical to it; with more rows, the
+    per-block matmuls may round differently.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1] \
             or k.shape[0] != v.shape[0]:
@@ -420,17 +439,25 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor,
             raise DimensionError(
                 f"sdpa: keep {keep.shape} does not broadcast over "
                 f"{q.shape[0]} queries x {k.shape[0]} keys")
+    n_q, n_k = q.shape[0], k.shape[0]
     c = 1.0 / math.sqrt(q.shape[1])
     kt = np.ascontiguousarray(k.data.T)
-    p = Tensor(q.data @ kt)
-    s = p.data
-    s *= c
-    if keep is not None:
-        np.copyto(s, MASKED_SCORE, where=~keep)
-    s -= s.max(axis=1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=1, keepdims=True)
-    out = Tensor(s @ v.data)
+    # backward reads all of p; untaped, one block's rows are reused
+    taped = _recording((q, k, v))
+    p = Tensor(np.empty((n_q if taped else min(n_q, SDPA_BLOCK_ROWS), n_k)))
+    out = Tensor(np.empty((n_q, v.shape[1])))
+    for r0 in range(0, n_q, SDPA_BLOCK_ROWS):
+        r1 = min(r0 + SDPA_BLOCK_ROWS, n_q)
+        s = p.data[r0:r1] if taped else p.data[:r1 - r0]
+        np.matmul(q.data[r0:r1], kt, out=s)
+        s *= c
+        if keep is not None:
+            rows = keep if keep.shape[0] == 1 else keep[r0:r1]
+            np.copyto(s, MASKED_SCORE, where=~rows)
+        s -= s.max(axis=1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=1, keepdims=True)
+        np.matmul(s, v.data, out=out.data[r0:r1])
 
     def bw(g):
         if v.requires_grad:

@@ -21,13 +21,20 @@ from .autodiff import Tensor, _maybe_record
 from .errors import DimensionError, UsageError
 
 
+# Most tiles a grid may hold: each origin is a Python tuple, so a bound on
+# their number is a bound on the plan's memory (and on `dualseg tile`'s JSON).
+MAX_TILES = 2 ** 22
+
+
 def _axis_starts(dim: int, patch: int, stride: int) -> list[int]:
-    if dim <= patch:
-        return [0]
-    starts = list(range(0, dim - patch + 1, stride))
-    if starts[-1] != dim - patch:
-        starts.append(dim - patch)
-    return starts
+    """Origins along one axis: every stride step, then one tile flush with
+    the far edge (a single origin 0 when the patch spans the axis)."""
+    return [*range(0, dim - patch, stride), max(dim - patch, 0)]
+
+
+def _axis_count(dim: int, patch: int, stride: int) -> int:
+    """len(_axis_starts(dim, patch, stride)), without building the list."""
+    return len(range(0, dim - patch, stride)) + 1
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,11 @@ def plan_grid(image_h: int, image_w: int, patch: int, overlap: int) -> TileGrid:
     if image_h < 1 or image_w < 1:
         raise DimensionError(f"plan_grid: empty image {image_h}x{image_w}")
     stride = patch - overlap
+    n_tiles = _axis_count(image_h, patch, stride) * _axis_count(image_w, patch, stride)
+    if n_tiles > MAX_TILES:
+        raise DimensionError(
+            f"plan_grid: {image_h}x{image_w} with patch {patch}, overlap "
+            f"{overlap} needs {n_tiles} tiles, more than {MAX_TILES}")
     return TileGrid(
         image_h=image_h, image_w=image_w, patch=patch, overlap=overlap,
         row_starts=tuple(_axis_starts(image_h, patch, stride)),

@@ -455,6 +455,39 @@ class TestSdpa:
             ad.sdpa(q, k, v, SDPA_MASKS["full"])
         assert len(tape._records) == 1
 
+    @pytest.mark.parametrize("mask", ["none", "row", "full"])
+    def test_one_block_untaped_is_bitwise_equal_to_op_chain(self, mask):
+        n_q, n_k = ad.SDPA_BLOCK_ROWS, 9
+        rng = np.random.default_rng(13)
+        q, k, v = (Tensor(rng.standard_normal(s))
+                   for s in ((n_q, 3), (n_k, 3), (n_k, 4)))
+        keep = _sdpa_masks(n_q, n_k)[mask]
+        got = ad.sdpa(q, k, v, keep).data
+        assert got.tobytes() == sdpa_chain(q, k, v, keep).data.tobytes()
+
+    @pytest.mark.parametrize("mask", ["none", "row", "full"])
+    def test_streamed_blocks_match_op_chain(self, mask):
+        # three blocks, the last one three rows tall
+        n_q, n_k = 2 * ad.SDPA_BLOCK_ROWS + 3, 11
+        rng = np.random.default_rng(14)
+        arrays = (rng.standard_normal((n_q, 3)), rng.standard_normal((n_k, 3)),
+                  rng.standard_normal((n_k, 4)))
+        keep = _sdpa_masks(n_q, n_k)[mask]
+        untaped = ad.sdpa(*(Tensor(a) for a in arrays), keep).data
+        want = sdpa_chain(*(Tensor(a) for a in arrays), keep).data
+        np.testing.assert_allclose(untaped, want, rtol=0, atol=1e-12)
+
+        w = rng.random((n_q, 4)) + 0.5
+        results = []
+        for fn in (ad.sdpa, sdpa_chain):
+            tensors = [Tensor(a, requires_grad=True) for a in arrays]
+            with GradTape() as tape:
+                out = fn(*tensors, keep)
+                tape.backward(ad.sum_all(ad.mul(out, Tensor(w))))
+            results.append([out.data] + [t.grad for t in tensors])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_rejects_bad_shapes(self):
         q, k, v = (Tensor(a) for a in self._qkv())
         with pytest.raises(DimensionError, match="sdpa"):

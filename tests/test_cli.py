@@ -1,6 +1,7 @@
 """Command-line surface: pipelines, artifacts, exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -101,6 +102,16 @@ class TestPipeline:
 
 
 class TestExitCodes:
+    def test_tile_plan_too_large_is_3(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["tile", "--height", "1000000", "--width", "1000000",
+                     "--patch", "1"]) == 3
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "needs 1000000000000 tiles" in captured.err
+
     def test_unknown_config_key_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("patchh = 8\n")

@@ -1,5 +1,6 @@
 """Allocation ledger: hand-instrumented sequences and tensor wiring."""
 
+import contextlib
 import gc
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 import dualseg.autodiff as ad
 from dualseg.autodiff import Tensor
+from dualseg.harness.config import RunConfig
 from dualseg.memory import LEDGER, AllocationLedger
+from dualseg.model import ModelParams, forward_infer
 
 # Each allocating op on fixed inputs. The input tensors die with the call;
 # the output must own its buffer, or the ledger (which counts only arrays
@@ -119,6 +122,32 @@ class TestTensorWiring:
         assert LEDGER.peak_bytes - base < 2 * score
         gc.collect()
         assert LEDGER.current_bytes - base == out.data.nbytes
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_sdpa_streams_scores_unless_taped(self, taped):
+        n_q, n_k = 2 * ad.SDPA_BLOCK_ROWS + 3, 50
+        rng = np.random.default_rng(2)
+        q, k, v = (Tensor(rng.standard_normal(s), requires_grad=taped)
+                   for s in ((n_q, 3), (n_k, 3), (n_k, 2)))
+        gc.collect()
+        base = LEDGER.reset_peak()
+        with ad.GradTape() if taped else contextlib.nullcontext():
+            out = ad.sdpa(q, k, v)
+        # untaped: one block of rows is reused; taped: backward needs all of p
+        rows = n_q if taped else ad.SDPA_BLOCK_ROWS
+        assert LEDGER.peak_bytes - base == rows * n_k * 8 + out.data.nbytes
+
+    def test_global_mode_does_not_hold_the_score_matrix(self):
+        cfg = RunConfig().validate()
+        params = ModelParams(cfg.backbone(), cfg.num_classes,
+                             rng=np.random.default_rng(0))
+        image = np.random.default_rng(1).random((3, 24, 120))
+        report: dict = {}
+        forward_infer(image, None, params, cfg.settings(), mode="global",
+                      mem_report=report)
+        n_tokens = (120 // cfg.backbone().stride(skip_last_pool=True)) ** 2
+        assert n_tokens == 3600
+        assert report["transient_bytes"] < n_tokens ** 2 * 8 / 4
 
     def test_reshape_adds_nothing(self):
         x = Tensor(MAP)

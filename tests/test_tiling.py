@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dualseg.autodiff as ad
+from dualseg import tiling
 from dualseg.autodiff import GradTape, Tensor
 from dualseg.errors import DimensionError, UsageError
 from dualseg.tiling import (StitchAccumulator, extract_label_patch,
@@ -64,6 +65,14 @@ class TestPlanGrid:
             plan_grid(10, 10, 0, 0)
         with pytest.raises(DimensionError):
             plan_grid(0, 10, 4, 1)
+
+    def test_tile_count_is_capped_before_building(self, monkeypatch):
+        with pytest.raises(DimensionError, match="needs 10000000000 tiles"):
+            plan_grid(100_000, 100_000, 1, 0)
+        monkeypatch.setattr(tiling, "MAX_TILES", 36)
+        assert plan_grid(2448, 2448, 500, 50).n_tiles == 36
+        with pytest.raises(DimensionError, match="needs 42 tiles, more than 36"):
+            plan_grid(2751, 2448, 500, 50)
 
 
 class TestExtract:
