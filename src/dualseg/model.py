@@ -25,10 +25,10 @@ Inference (`forward_infer`) runs the same per-tile pipeline
 transients) or on one full-size tile in global mode. The aggregation
 conv is linear in its input channels, so its local half is stitched in
 that one pass and its global half, which needs the averaged global map,
-is added per tile afterwards. The global window each tile needs is
-sampled directly from the small global map, bit-identical to cropping a
-full-size resize, so a one-tile image gives the same prediction in both
-modes.
+is added per tile afterwards. Neither half builds a resized map:
+`_resized_conv` folds the bilinear upsample into the conv as three small
+GEMMs on the token-resolution map, equal to resize-then-conv to rounding.
+A one-tile image gets the same arithmetic, and prediction, in both modes.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import (AttentionWeights, TokenSeq, build_patch_mask,
                         cross_fuse, project_qkv, self_attention)
-from .autodiff import Tensor, _lerp2d, _resize_axis
+from .autodiff import Tensor, _resize_matrix
 from .errors import DataError, DimensionError, UsageError
 from .tiling import (StitchAccumulator, TileGrid, extract_label_patch,
                      extract_patch, plan_grid, stitch)
@@ -313,8 +313,8 @@ def _tile_forward(image: np.ndarray, grid: TileGrid, i: int,
                   glb_seq: TokenSeq, q_g: Tensor, k_g: Tensor, v_g: Tensor,
                   params: ModelParams, settings: TrainSettings
                   ) -> tuple[Tensor, Tensor]:
-    """Tile `i`'s fused global tokens and fused local map, upsampled to
-    [d, patch, patch]: the one tile pipeline of training and inference."""
+    """Tile `i`'s fused global tokens and fused local map [d, h_t, w_t] at
+    token resolution: the one tile pipeline of training and inference."""
     loc_seq = _local_tokens(extract_patch(image, grid, i), params, settings)
     q_l, k_l, v_l = project_qkv(loc_seq, params.attn("fuse_l"))
     mask_lg = build_patch_mask(grid, i, glb_seq.spatial,
@@ -322,8 +322,7 @@ def _tile_forward(image: np.ndarray, grid: TileGrid, i: int,
         if settings.use_mask else None
     fused_g_i, fused_l_i = cross_fuse(q_g, k_l, v_l, q_l, k_g, v_g,
                                       mask_gl=None, mask_lg=mask_lg)
-    loc_map = map_from_tokens(TokenSeq(fused_l_i, loc_seq.spatial))
-    return fused_g_i, ad.bilinear_resize(loc_map, grid.patch, grid.patch)
+    return fused_g_i, map_from_tokens(TokenSeq(fused_l_i, loc_seq.spatial))
 
 
 def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
@@ -347,8 +346,9 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
     loc_losses: list[Tensor] = []
     head_l_k, head_l_b = params.head("l")
     for i in range(grid.n_tiles):
-        fused_g_i, loc_up = _tile_forward(image, grid, i, glb_seq, q_g, k_g,
-                                          v_g, params, settings)
+        fused_g_i, loc_map = _tile_forward(image, grid, i, glb_seq, q_g, k_g,
+                                           v_g, params, settings)
+        loc_up = ad.bilinear_resize(loc_map, grid.patch, grid.patch)
         fused_g_parts.append(fused_g_i)
         loc_maps_up.append(loc_up)
         s_loc = ad.conv2d(loc_up, head_l_k, padding=0, bias=head_l_b)
@@ -387,21 +387,44 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
     return outputs, breakdown
 
 
-def _global_window(xg: np.ndarray, h: int, w: int, r: int, c: int,
-                   size: int) -> np.ndarray:
-    """Tile-sized window at (r, c) of bilinear_resize(xg, h, w), unbuilt.
+def _conv_taps(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """[O, kh, H, kw, W]: x [C, H, W] mixed by each tap of the kernel
+    [O, C, kh, kw] in one GEMM; the per-map step of `_resized_conv`."""
+    o, c, kh, kw = kernel.shape
+    z = kernel.transpose(0, 2, 3, 1).reshape(o * kh * kw, c) @ x.reshape(c, -1)
+    return np.ascontiguousarray(
+        z.reshape(o, kh, kw, *x.shape[1:]).transpose(0, 1, 3, 2, 4))
 
-    The full-size resize's axis tables (`_resize_axis`, memoised in
-    autodiff) are sliced to the window and fed to the same separable
-    gather (`_lerp2d`), so the window is bit-identical to cropping the
-    full resize; rows/cols beyond the image stay zero (tiles may overhang
-    the canvas).
+
+def _window_taps(src: int, dst: int, start: int, size: int,
+                 k: int) -> np.ndarray:
+    """[size, k*src]: per kernel offset d, rows start+d-k//2.. of
+    `_resize_matrix(src, dst)`, zero outside the window and past dst."""
+    m = np.zeros((size + k - 1, src))
+    n = min(size, dst - start)
+    m[k // 2:k // 2 + n] = _resize_matrix(src, dst)[start:start + n]
+    return np.concatenate([m[d:d + size] for d in range(k)], axis=1)
+
+
+def _resized_conv(taps: np.ndarray, canvas: tuple[int, int],
+                  origin: tuple[int, int], size: int,
+                  bias: Optional[np.ndarray] = None) -> np.ndarray:
+    """conv2d(W, K, padding=k//2, bias) of the size x size window W at
+    `origin` of bilinear_resize(x, *canvas), zero past the canvas, from
+    taps = _conv_taps(x, K), without building the resized map.
+
+    Channel mixing commutes with the resize; the conv's zero padding and
+    the canvas overhang are zero rows of the window's resize matrix R. So
+    with A[d] = R shifted by d - k//2, out[o] = sum over (dy, dx) of
+    A_y[dy] taps[o, dy, :, dx] A_x[dx]^T + b[o]: two more small GEMMs.
     """
-    rows, cols = _resize_axis(xg.shape[1], h), _resize_axis(xg.shape[2], w)
-    hh, ww = min(size, h - r), min(size, w - c)
-    out = np.zeros((xg.shape[0], size, size), dtype=xg.dtype)
-    out[:, :hh, :ww] = _lerp2d(xg, tuple(v[r:r + hh] for v in rows),
-                               tuple(v[c:c + ww] for v in cols))
+    o, kh, sh, kw, sw = taps.shape
+    a_y = _window_taps(sh, canvas[0], origin[0], size, kh)
+    a_x = _window_taps(sw, canvas[1], origin[1], size, kw)
+    out = a_y @ (taps.reshape(o * kh * sh, kw * sw) @ a_x.T).reshape(
+        o, kh * sh, size)
+    if bias is not None:
+        out += bias[:, None, None]
     return out
 
 
@@ -414,12 +437,10 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
     Patch mode walks the provided grid; global mode treats the whole
     image as a single tile at full resolution (the tile is padded up to a
     stride multiple when needed). Each tile's local branch runs once, since
-    conv(concat[G, L], K) + b = conv(G, K[:, :d]) + conv(L, K[:, d:]) + b.
-    When `mem_report` is given, the allocation ledger's peak is reset
-    after the full-size accumulators and the two kernel halves exist, so
-    the reported transient excludes input/output-scale buffers. The
-    halves are per-model constants; built after the reset, their bytes
-    would be counted in every transient.
+    conv(concat[G, L], K) + b = conv(G, K[:, :d]) + conv(L, K[:, d:]) + b,
+    and `_resized_conv` gives each half without resizing its map. With
+    `mem_report`, the ledger's peak is reset once the full-size
+    accumulator exists, so the transient excludes input/output buffers.
     """
     from .memory import LEDGER
 
@@ -442,10 +463,8 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
 
     img_t = Tensor(image)
     acc = StitchAccumulator(params.num_classes, h, w, grid.patch)
-    d = params.backbone.d_model
+    d, p = params.backbone.d_model, grid.patch
     agg_k, agg_b = params.f_agg()
-    agg_k_glb = Tensor(agg_k.data[:, :d])
-    agg_k_loc = Tensor(agg_k.data[:, d:])
     if mem_report is not None:
         mem_report["baseline_bytes"] = LEDGER.reset_peak()
 
@@ -455,19 +474,20 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
     # running mean of the fused global tokens; stitch of the local half
     fused_g_mean = np.zeros_like(q_g.data)
     for i in range(grid.n_tiles):
-        fused_g_i, loc_up = _tile_forward(image, grid, i, glb_seq, q_g, k_g,
-                                          v_g, params, settings)
+        fused_g_i, loc_map = _tile_forward(image, grid, i, glb_seq, q_g, k_g,
+                                           v_g, params, settings)
         fused_g_mean += (fused_g_i.data - fused_g_mean) / (i + 1)
-        acc.add(ad.conv2d(loc_up, agg_k_loc, padding=1, bias=agg_b).data,
-                grid.origins[i])
-
-    gh, gw = glb_seq.spatial
-    x_glb = np.ascontiguousarray(fused_g_mean.T.reshape(d, gh, gw))
+        taps = _conv_taps(loc_map.data, agg_k.data[:, d:])
+        acc.add(Tensor(_resized_conv(taps, (p, p), (0, 0), p,
+                                     agg_b.data)).data, grid.origins[i])
+        del fused_g_i, loc_map      # free before the next tile allocates
 
     # global half: the coverage counts are final, so shares add directly
+    gh, gw = glb_seq.spatial
+    taps = _conv_taps(fused_g_mean.T.reshape(d, gh, gw), agg_k.data[:, :d])
     for r, c in grid.origins:
-        glb_win = Tensor(_global_window(x_glb, h, w, r, c, grid.patch))
-        acc.add_share(ad.conv2d(glb_win, agg_k_glb, padding=1).data, (r, c))
+        acc.add_share(Tensor(_resized_conv(taps, (h, w), (r, c), p)).data,
+                      (r, c))
 
     if mem_report is not None:
         mem_report["peak_bytes"] = LEDGER.peak_bytes

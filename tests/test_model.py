@@ -15,6 +15,7 @@ import dualseg.model as model
 from dualseg.attention import project_qkv
 from dualseg.autodiff import GradTape, Tensor
 from dualseg.errors import DataError, DimensionError, UsageError
+from dualseg.harness.config import preset_convergence
 from dualseg.model import (
     Adam,
     BackboneConfig,
@@ -67,9 +68,12 @@ def adam_oracle(x0, grads, lr, b1, b2, eps):
 
 def two_pass_infer_oracle(image, grid, params, settings):
     """The two-pass inference path: every tile's local branch runs again
-    in pass 2, against the full aggregation kernel over the channel
-    concat, and the tile logits are stitched with a Welford mean."""
+    in pass 2 and is upsampled to the tile, its global window is cropped
+    (zero past the image) from the full-size resize of the averaged global
+    map, and the full aggregation kernel runs over the channel concat;
+    the tile logits are stitched with a Welford mean."""
     h, w = image.shape[1:]
+    p = grid.patch
     glb_seq = model._global_tokens(Tensor(image), params, settings)
     q_g, k_g, v_g = project_qkv(glb_seq, params.attn("fuse_g"))
     fused = [model._tile_forward(image, grid, i, glb_seq, q_g, k_g, v_g,
@@ -77,16 +81,19 @@ def two_pass_infer_oracle(image, grid, params, settings):
              for i in range(grid.n_tiles)]
     gh, gw = glb_seq.spatial
     x_glb = np.mean(fused, axis=0).T.reshape(params.backbone.d_model, gh, gw)
+    glb_full = ad.bilinear_resize(Tensor(x_glb), h, w).data
     agg_k, agg_b = params.f_agg()
     mean = np.zeros((params.num_classes, h, w))
     count = np.zeros((h, w))
     for i, (r, c) in enumerate(grid.origins):
-        _, loc_up = model._tile_forward(image, grid, i, glb_seq, q_g, k_g,
-                                        v_g, params, settings)
-        glb_win = Tensor(model._global_window(x_glb, h, w, r, c, grid.patch))
-        s_agg = ad.conv2d(ad.concat_channels([glb_win, loc_up]), agg_k,
-                          padding=1, bias=agg_b).data
-        hh, ww = min(grid.patch, h - r), min(grid.patch, w - c)
+        _, loc_map = model._tile_forward(image, grid, i, glb_seq, q_g, k_g,
+                                         v_g, params, settings)
+        loc_up = ad.bilinear_resize(loc_map, p, p)
+        hh, ww = min(p, h - r), min(p, w - c)
+        glb_win = np.zeros((x_glb.shape[0], p, p))
+        glb_win[:, :hh, :ww] = glb_full[:, r:r + hh, c:c + ww]
+        s_agg = ad.conv2d(ad.concat_channels([Tensor(glb_win), loc_up]),
+                          agg_k, padding=1, bias=agg_b).data
         count[r:r + hh, c:c + ww] += 1
         mean[:, r:r + hh, c:c + ww] += (
             s_agg[:, :hh, :ww] - mean[:, r:r + hh, c:c + ww]
@@ -525,19 +532,6 @@ class TestForwardInfer:
         got = forward_infer(image, grid, params, settings, mode="patch")
         assert np.array_equal(got, want)
 
-    # origins into a 23x17 canvas, patch 8: interior, corner, flush with
-    # the bottom/right edges, and overhanging both edges by 4 and 5 pixels
-    @pytest.mark.parametrize("r,c", [(5, 3), (0, 0), (15, 9), (19, 12)])
-    def test_global_window_is_crop_of_full_resize(self, r, c):
-        xg = np.random.default_rng(20).standard_normal((4, 5, 6))
-        full = ad.bilinear_resize(Tensor(xg), 23, 17).data
-        win = model._global_window(xg, 23, 17, r, c, 8)
-        hh, ww = min(8, 23 - r), min(8, 17 - c)
-        assert win.shape == (4, 8, 8)
-        np.testing.assert_array_equal(win[:, :hh, :ww],
-                                      full[:, r:r + hh, c:c + ww])
-        assert not win[:, hh:].any() and not win[:, :, ww:].any()
-
     def test_patch_transient_flat_in_image_size(self):
         transients = []
         for side in (64, 128):
@@ -548,12 +542,104 @@ class TestForwardInfer:
             transients.append(report["transient_bytes"])
         assert transients[0] == transients[1]
 
+    # a one-tile crop, 9 tiles and 64 tiles: equal only when no tile's
+    # tensors are still alive while the next tile runs
+    def test_patch_transient_independent_of_tile_count(self):
+        cfg = preset_convergence()
+        params = ModelParams(cfg.backbone(), cfg.num_classes,
+                             rng=np.random.default_rng(0))
+        image = np.random.default_rng(1).random((3, 192, 192))
+        tiles, transients = [], []
+        for side in (32, 64, 192):
+            grid = plan_grid(side, side, cfg.patch, cfg.overlap)
+            report = {}
+            forward_infer(np.ascontiguousarray(image[:, :side, :side]), grid,
+                          params, cfg.settings(), mem_report=report)
+            tiles.append(grid.n_tiles)
+            transients.append(report["transient_bytes"])
+        assert tiles == [1, 9, 64]
+        assert transients[0] == transients[1] == transients[2]
+
+    # the only resize is the global downsample, the only convs are the
+    # backbones': each aggregation half is `_resized_conv`
+    @pytest.mark.parametrize("mode", ["patch", "global"])
+    def test_one_resize_and_backbone_convs_only(self, monkeypatch, mode):
+        params, image, _, grid, settings = micro_setup(
+            h=40, w=28, patch=16, overlap=4)
+        resizes, convs, in_backbone = [], [], [False]
+        real_resize, real_conv = ad.bilinear_resize, ad.conv2d
+        real_backbone = model.backbone_forward
+
+        def resize(x, th, tw):
+            resizes.append((th, tw))
+            return real_resize(x, th, tw)
+
+        def conv(*args, **kwargs):
+            convs.append(in_backbone[0])
+            return real_conv(*args, **kwargs)
+
+        def backbone(*args, **kwargs):
+            in_backbone[0] = True
+            try:
+                return real_backbone(*args, **kwargs)
+            finally:
+                in_backbone[0] = False
+
+        monkeypatch.setattr(ad, "bilinear_resize", resize)
+        monkeypatch.setattr(ad, "conv2d", conv)
+        monkeypatch.setattr(model, "backbone_forward", backbone)
+        forward_infer(image, grid if mode == "patch" else None, params,
+                      settings, mode=mode)
+        assert resizes == [(settings.global_size, settings.global_size)]
+        assert convs and all(convs)
+
     def test_mode_validation(self):
         params, image, _, grid, settings = micro_setup()
         with pytest.raises(UsageError):
             forward_infer(image, grid, params, settings, mode="mosaic")
         with pytest.raises(UsageError):
             forward_infer(image, None, params, settings, mode="patch")
+
+
+class TestResizedConv:
+    """`_resized_conv` against conv2d over a window of the built resize."""
+
+    @staticmethod
+    def crop_then_conv(x, kernel, bias, h, w, r, c, size):
+        full = ad.bilinear_resize(Tensor(x), h, w).data
+        hh, ww = min(size, h - r), min(size, w - c)
+        win = np.zeros((x.shape[0], size, size))
+        win[:, :hh, :ww] = full[:, r:r + hh, c:c + ww]
+        return ad.conv2d(Tensor(win), Tensor(kernel), padding=1,
+                         bias=None if bias is None else Tensor(bias)).data
+
+    @staticmethod
+    def check(x, h, w, r, c, size, seed):
+        rng = np.random.default_rng(seed)
+        kernel = rng.standard_normal((3, x.shape[0], 3, 3))
+        taps = model._conv_taps(x, kernel)
+        for bias in (None, rng.standard_normal(3)):
+            got = model._resized_conv(taps, (h, w), (r, c), size, bias)
+            want = TestResizedConv.crop_then_conv(x, kernel, bias, h, w, r, c,
+                                                  size)
+            assert got.shape == (3, size, size)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    # origins into a 23x17 canvas, patch 8, from a 5x6 source: interior,
+    # corner, flush with the bottom/right edges, and overhanging both
+    # edges by 4 and 5 pixels
+    @pytest.mark.parametrize("r,c", [(5, 3), (0, 0), (15, 9), (19, 12)])
+    def test_window_matches_crop_then_conv(self, r, c):
+        xg = np.random.default_rng(20).standard_normal((4, 5, 6))
+        self.check(xg, 23, 17, r, c, 8, seed=21)
+
+    # a tile's local map, 16 -> 32, and a non-square source on a
+    # non-square canvas, whole-canvas window
+    @pytest.mark.parametrize("shape,h,w", [((16, 16, 16), 32, 32),
+                                           ((5, 7, 3), 12, 20)])
+    def test_whole_canvas_matches_resize_then_conv(self, shape, h, w):
+        x = np.random.default_rng(22).standard_normal(shape)
+        self.check(x, h, w, 0, 0, max(h, w), seed=23)
 
 
 # ---------------------------------------------------------------------------
