@@ -15,6 +15,11 @@ attention holds at most SDPA_BLOCK_ROWS rows of scores. A call that fits
 in one block is bit-identical to the chain of primitive ops it stands
 for; longer calls agree with it to rounding.
 
+The spatial resamples, `bilinear_resize` and `avg_pool2d`, are linear
+and separable: each is out = My · x · Mxᵀ per channel, over memoised,
+read-only 1-D matrices (`_resize_matrix`, `_pool_matrix`), and its
+backward is the adjoint gx = Myᵀ · g · Mx over the same two matrices.
+
 All public operations keep finite inputs finite (softmax subtracts the
 row max, logarithms clamp their argument), and everything is serial and
 deterministic for a fixed seed.
@@ -549,94 +554,78 @@ def conv2d(x: Tensor, kernel: Tensor, padding: int = 0,
     return _maybe_record(inputs, out, bw)
 
 
-def avg_pool2d(x: Tensor, factor: int = 2) -> Tensor:
-    if x.ndim != 3:
-        raise DimensionError(f"avg_pool2d expects [C,H,W], got {tuple(x.shape)}")
-    c, h, w = x.shape
-    f = int(factor)
-    if f < 1 or h % f or w % f:
-        raise DimensionError(f"avg_pool2d: dims {h}x{w} not divisible by factor {f}")
-    y = x.data.reshape(c, h // f, f, w // f, f).mean(axis=(2, 4))
-    out = Tensor(y)
-
-    def bw(g):
-        if x.requires_grad:
-            gx = np.repeat(np.repeat(g, f, axis=1), f, axis=2) / (f * f)
-            x.accumulate_grad(gx)
-
-    return _maybe_record((x,), out, bw)
-
-
-@functools.lru_cache(maxsize=128)
-def _resize_axis(src: int, dst: int):
-    """Half-pixel source coordinates for each destination index.
-
-    Returns (i0, i1, weight) for the 1-D lerp from `src` to `dst` samples.
-    Memoised, since every tile resizes between the same few sizes; the
-    arrays are shared between callers and therefore read-only.
-    """
-    s = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
-    s = np.clip(s, 0.0, src - 1.0)
-    i0 = np.floor(s).astype(np.intp)
-    i1 = np.minimum(i0 + 1, src - 1)
-    w = s - i0
-    for a in (i0, i1, w):
-        a.flags.writeable = False
-    return i0, i1, w
-
-
 @functools.lru_cache(maxsize=128)
 def _resize_matrix(src: int, dst: int) -> np.ndarray:
-    """[dst, src] matrix of the 1-D interpolation along one axis.
+    """[dst, src] matrix of the 1-D bilinear interpolation along one axis.
 
-    Where the edge clamp gives i0 == i1, both weights land in one entry.
-    Memoised and read-only, like `_resize_axis`.
+    Half-pixel centres, clamped to the edge: row i puts weight 1 - w on
+    source index i0 and w on i0 + 1 (clamped too, so where i0 == i1 both
+    weights land in one entry). Memoised, since every tile resizes
+    between the same few sizes; the matrix is shared between callers and
+    therefore read-only.
     """
-    i0, i1, w = _resize_axis(src, dst)
-    m = np.zeros((dst, src))
     rows = np.arange(dst)
+    s = np.clip((rows + 0.5) * (src / dst) - 0.5, 0.0, src - 1.0)
+    i0 = np.floor(s).astype(np.intp)
+    w = s - i0
+    m = np.zeros((dst, src))
     m[rows, i0] += 1.0 - w
-    m[rows, i1] += w
+    m[rows, np.minimum(i0 + 1, src - 1)] += w
     m.flags.writeable = False
     return m
 
 
-def _lerp2d(x: np.ndarray, rows, cols) -> np.ndarray:
-    """Bilinear gather of [C,H,W] at rows (r0, r1, wy), cols (c0, c1, wx).
+@functools.lru_cache(maxsize=128)
+def _pool_matrix(n: int, f: int) -> np.ndarray:
+    """[n // f, n] matrix of the 1-D average of each run of f samples:
+    row i holds 1/f at columns i*f .. i*f + f - 1. Memoised and
+    read-only, like `_resize_matrix`."""
+    m = np.kron(np.eye(n // f), np.full(f, 1.0 / f))
+    m.flags.writeable = False
+    return m
 
-    Separable: the source rows the output reads (r0 ∪ r1) are lerped
-    along x once, then gathered and lerped along y. The expressions are
-    the four-corner lerp form's, so the result is bit-identical to it,
-    from two full-size gathers instead of four.
+
+def avg_pool2d(x: Tensor, factor: int = 2) -> Tensor:
+    """Mean over non-overlapping factor x factor blocks of [C,H,W].
+
+    The map is out = Py · x · Pxᵀ per channel with Py and Px from
+    `_pool_matrix`, so backward is the adjoint gx = Pyᵀ · g · Px.
     """
-    r0, r1, wy = rows
-    c0, c1, wx = cols
-    src, inv = np.unique(np.concatenate([r0, r1]), return_inverse=True)
-    a = x[:, src[:, None], c0[None, :]]
-    xl = a + wx * (x[:, src[:, None], c1[None, :]] - a)
-    top, bot = xl[:, inv[:len(r0)]], xl[:, inv[len(r0):]]
-    return top + wy[:, None] * (bot - top)
+    if x.ndim != 3:
+        raise DimensionError(f"avg_pool2d expects [C,H,W], got {tuple(x.shape)}")
+    h, w = x.shape[1:]
+    f = int(factor)
+    if f < 1 or h % f or w % f:
+        raise DimensionError(f"avg_pool2d: dims {h}x{w} not divisible by factor {f}")
+    py, px = _pool_matrix(h, f), _pool_matrix(w, f)
+    out = Tensor(py @ (x.data @ px.T))
+
+    def bw(g):
+        if x.requires_grad:
+            x.accumulate_grad(py.T @ (g @ px))
+
+    return _maybe_record((x,), out, bw)
 
 
 def bilinear_resize(x: Tensor, target_h: int, target_w: int) -> Tensor:
     """Bilinear resampling of [C,H,W]; identity when the size is unchanged.
 
-    Half-pixel centres, edge clamping; forward is `_lerp2d`'s separable
-    gather. The map is linear, out = Ry · x · Rxᵀ per channel with Ry
-    [th, H] and Rx [tw, W] from `_resize_matrix`, so backward is the
-    adjoint gx = Ryᵀ · g · Rx: two small GEMMs, no scatter.
+    Half-pixel centres, edge clamping. The map is out = Ry · x · Rxᵀ per
+    channel with Ry [th, H] and Rx [tw, W] from `_resize_matrix`, so
+    backward is the adjoint gx = Ryᵀ · g · Rx: two small GEMMs each way,
+    no gather and no scatter.
     """
     if x.ndim != 3:
         raise DimensionError(f"bilinear_resize expects [C,H,W], got {tuple(x.shape)}")
     th, tw = int(target_h), int(target_w)
     if th < 1 or tw < 1:
         raise DimensionError(f"bilinear_resize: non-positive target {th}x{tw}")
-    h, w = x.shape[1:]
-    out = Tensor(_lerp2d(x.data, _resize_axis(h, th), _resize_axis(w, tw)))
+    ry, rx = _resize_matrix(x.shape[1], th), _resize_matrix(x.shape[2], tw)
+    out = Tensor(ry @ (x.data @ rx.T))
 
     def bw(g):
         if x.requires_grad:
-            x.accumulate_grad(_resize_matrix(h, th).T @ (g @ _resize_matrix(w, tw)))
+            x.accumulate_grad(ry.T @ (g @ rx))
 
     return _maybe_record((x,), out, bw)
 

@@ -114,16 +114,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    cfg = _load_config(args)
     backbone = settings = None
     num_classes = 2
     if args.config:
-        cfg = parse_config(args.config)
         backbone = cfg.backbone()
         num_classes = cfg.num_classes
         settings = dataclasses.replace(cfg.settings(),
                                        global_size=MICRO["global_size"])
-    report = run_gradcheck(backbone, settings, num_classes,
-                           seed=args.seed or 0)
+    report = run_gradcheck(backbone, settings, num_classes, seed=cfg.seed)
     print(json.dumps(report))
     if not report["passed"]:
         raise CheckFailure(

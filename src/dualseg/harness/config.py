@@ -98,16 +98,15 @@ class RunConfig:
                 bad(key, f"must lie in [0, 1), got {getattr(self, key)}")
         if self.batch < 1:
             bad("batch", f"must be >= 1, got {self.batch}")
-        if self.steps < 0:
-            bad("steps", f"must be >= 0, got {self.steps}")
         if self.image_size < self.patch:
             bad("image_size", f"must be >= patch ({self.patch}), "
                 f"got {self.image_size}")
         for key in ("train_scenes", "val_scenes"):
             if getattr(self, key) < 1:
                 bad(key, f"must be >= 1, got {getattr(self, key)}")
-        if self.ckpt_every < 0:
-            bad("ckpt_every", f"must be >= 0, got {self.ckpt_every}")
+        for key in ("steps", "seed", "ckpt_every"):
+            if getattr(self, key) < 0:
+                bad(key, f"must be >= 0, got {getattr(self, key)}")
         return self
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 import dualseg.autodiff as ad
 from ..autodiff import GradTape
-from ..errors import DataError
+from ..errors import DataError, UsageError
 from ..metrics import ConfusionMatrix
 from ..model import (BackboneConfig, ModelParams, TrainSettings,
                      forward_infer, forward_train)
@@ -248,6 +248,8 @@ def ablate(cfg: RunConfig, data_dir: str, out_csv: str,
     Returns {variant: [miou per seed]} and writes one CSV row per
     variant with one column per seed.
     """
+    if n_seeds < 1:
+        raise UsageError(f"ablate: need at least one seed, got {n_seeds}")
     log = log or (lambda msg: print(msg, file=sys.stderr))
     results: dict[str, list[float]] = {}
     for variant, use_sa, use_mask in FLAG_VARIANTS:

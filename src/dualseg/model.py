@@ -33,6 +33,7 @@ A one-tile image gets the same arithmetic, and prediction, in both modes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -396,14 +397,19 @@ def _conv_taps(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         z.reshape(o, kh, kw, *x.shape[1:]).transpose(0, 1, 3, 2, 4))
 
 
+@functools.lru_cache(maxsize=128)
 def _window_taps(src: int, dst: int, start: int, size: int,
                  k: int) -> np.ndarray:
     """[size, k*src]: per kernel offset d, rows start+d-k//2.. of
-    `_resize_matrix(src, dst)`, zero outside the window and past dst."""
+    `_resize_matrix(src, dst)`, zero outside the window and past dst.
+    Memoised and read-only, like `_resize_matrix`: a tile grid repeats
+    the same few windows on every image."""
     m = np.zeros((size + k - 1, src))
     n = min(size, dst - start)
     m[k // 2:k // 2 + n] = _resize_matrix(src, dst)[start:start + n]
-    return np.concatenate([m[d:d + size] for d in range(k)], axis=1)
+    taps = np.concatenate([m[d:d + size] for d in range(k)], axis=1)
+    taps.flags.writeable = False
+    return taps
 
 
 def _resized_conv(taps: np.ndarray, canvas: tuple[int, int],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dualseg.autodiff as ad
+from dualseg import model
 from dualseg.autodiff import GradTape, Tensor
 from dualseg.errors import DimensionError, UsageError
 
@@ -109,7 +110,7 @@ def bilinear_oracle(x, th, tw):
 
 def bilinear_four_corner(x, th, tw):
     """Vectorised `bilinear_oracle`: four full-size corner gathers, then
-    the lerp form (the library's forward before the separable gather)."""
+    the lerp form."""
     def axis(src, dst):
         s = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
         s = np.clip(s, 0.0, src - 1.0)
@@ -602,9 +603,10 @@ class TestPoolAndResize:
 
     def test_avg_pool_matches_oracle(self):
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((3, 6, 8))
-        got = ad.avg_pool2d(Tensor(x), 2).data
-        np.testing.assert_allclose(got, avg_pool_oracle(x, 2), atol=1e-12)
+        x = rng.standard_normal((3, 6, 12))
+        for f in (1, 2, 3, 6):
+            got = ad.avg_pool2d(Tensor(x), f).data
+            np.testing.assert_allclose(got, avg_pool_oracle(x, f), atol=1e-12)
 
     def test_avg_pool_backward(self):
         rng = np.random.default_rng(9)
@@ -617,8 +619,18 @@ class TestPoolAndResize:
 
     def test_bilinear_matches_oracle(self):
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((2, 7, 5))
-        for th, tw in [(5, 9), (14, 10), (3, 3), (1, 1)]:
+        cases = [((7, 5), dst) for dst in [(5, 9), (14, 10), (3, 3), (1, 1)]]
+        cases += [
+            ((6, 7), (6, 7)),      # identity
+            ((8, 6), (3, 2)),      # down, rows skipped
+            ((4, 3), (9, 8)),      # up
+            ((5, 9), (12, 4)),     # non-square, up in y and down in x
+            ((1, 5), (4, 3)),      # 1-pixel rows
+            ((5, 1), (2, 6)),      # 1-pixel columns
+            ((1, 1), (3, 2)),      # one pixel
+        ]
+        for src, (th, tw) in cases:
+            x = rng.standard_normal((2,) + src)
             got = ad.bilinear_resize(Tensor(x), th, tw).data
             np.testing.assert_allclose(got, bilinear_oracle(x, th, tw), atol=1e-9)
 
@@ -632,9 +644,13 @@ class TestPoolAndResize:
         ((1, 1), (3, 2)),      # one pixel
     ])
     def test_bilinear_forward_equals_four_corner_form(self, src, dst):
+        # The separable product sums the same two-tap convex combinations
+        # as the lerp form in another order, so each output lies within a
+        # few ulp of the largest input.
         x = np.random.default_rng(14).standard_normal((3,) + src)
-        np.testing.assert_array_equal(ad.bilinear_resize(Tensor(x), *dst).data,
-                                      bilinear_four_corner(x, *dst))
+        atol = 4 * np.finfo(np.float64).eps * np.abs(x).max()
+        np.testing.assert_allclose(ad.bilinear_resize(Tensor(x), *dst).data,
+                                   bilinear_four_corner(x, *dst), rtol=0, atol=atol)
 
     def test_bilinear_identity_is_exact(self):
         rng = np.random.default_rng(11)
@@ -679,15 +695,14 @@ class TestPoolAndResize:
             ad.bilinear_resize(Tensor(np.ones((1, 4, 4))), 0, 4)
 
     def test_resize_tables_are_shared_and_read_only(self):
-        first = ad._resize_axis(16, 32)
-        again = ad._resize_axis(16, 32)
-        assert all(a is b for a, b in zip(first, again))
-        m = ad._resize_matrix(16, 32)
-        assert ad._resize_matrix(16, 32) is m
-        for arr in first + (m,):
-            assert not arr.flags.writeable
+        tables = [(ad._resize_matrix, (16, 32)), (ad._pool_matrix, (32, 2)),
+                  (model._window_taps, (8, 64, 24, 16, 3))]
+        for build, key in tables:
+            m = build(*key)
+            assert build(*key) is m
+            assert not m.flags.writeable
             with pytest.raises(ValueError):
-                arr[0] = 0
+                m[0] = 0
 
 
 class TestElementwise:

@@ -126,6 +126,35 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         capsys.readouterr()
 
+    def test_negative_seed_flag_is_2(self, tmp_path, capsys):
+        assert main(["gen-data", "--seed", "-1",
+                     "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'seed'" in err
+        assert not (tmp_path / "d").exists()
+
+    def test_negative_gradcheck_seed_is_2(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "'seed'" in captured.err
+
+    def test_negative_config_seed_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed = -3\n")
+        assert main(["train", "--config", str(cfg), "--data", "x",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be >= 0, got -3" in err
+
+    def test_ablate_without_seeds_is_2(self, tmp_path, capsys):
+        out = tmp_path / "ablation.csv"
+        assert main(["ablate", "--data", str(tmp_path), "--out", str(out),
+                     "--seeds", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "at least one seed" in err
+        assert not out.exists()
+
     def test_missing_data_is_3(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nothing"),
                      "--out", str(tmp_path / "o")]) == 3

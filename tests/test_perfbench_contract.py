@@ -94,6 +94,11 @@ def test_train_step_is_traced(tracing):
     assert m["model.tile_passes"] == 1.0
     assert m["autodiff.ops"] > 0 and m["autodiff.tape_records"] > 0
     assert m["autodiff.backward_ms"] > 0.0
+    # backward spans are named by each op's own `bw` closure; a renamed
+    # or shared closure zeroes these
+    for op in ("autodiff.bilinear_resize.fwd_ms",
+               "autodiff.bilinear_resize.bwd_ms", "autodiff.conv2d.bwd_ms"):
+        assert m[op] > 0.0, op
     assert m["autodiff.accumulate_grad_calls"] > 0
     # one global self-attention, per tile one local and two fusion calls
     assert m["attention.sdpa_calls"] == 1 + 3 * grid.n_tiles
