@@ -12,7 +12,7 @@ The interesting public surface:
 
 - `autodiff`: Tensor, GradTape, the op set, and `gradcheck`.
 - `attention`: scaled_dot_attention, cross_fuse, build_patch_mask.
-- `tiling`: plan_grid, extract_patch, stitch.
+- `tiling`: plan_grid, TileGrid.window, extract_patch, stitch.
 - `model`: ModelParams, forward_train, forward_infer, Adam.
 - `metrics`: ConfusionMatrix (IoU / mIoU / overall accuracy).
 - `memory`: AllocationLedger behind the bench numbers.

@@ -169,19 +169,14 @@ def build_patch_mask(grid: TileGrid, patch_index: int,
     gh, gw = global_spatial
     if gh < 1 or gw < 1:
         raise DimensionError(f"build_patch_mask: bad global grid {gh}x{gw}")
-    if not 0 <= patch_index < grid.n_tiles:
-        raise DimensionError(
-            f"build_patch_mask: tile {patch_index} outside 0..{grid.n_tiles - 1}")
     if dilation < 0:
         raise DimensionError("build_patch_mask: dilation must be >= 0")
-    r, c = grid.origins[patch_index]
-    r1 = min(r + grid.patch, grid.image_h)
-    c1 = min(c + grid.patch, grid.image_w)
+    win_r, win_c = grid.window(patch_index)
     # global cell i spans image rows [i * H / gh, (i+1) * H / gh)
-    lo_r = int(math.floor(r * gh / grid.image_h)) - dilation
-    hi_r = int(math.ceil(r1 * gh / grid.image_h)) - 1 + dilation
-    lo_c = int(math.floor(c * gw / grid.image_w)) - dilation
-    hi_c = int(math.ceil(c1 * gw / grid.image_w)) - 1 + dilation
+    lo_r = int(math.floor(win_r.start * gh / grid.image_h)) - dilation
+    hi_r = int(math.ceil(win_r.stop * gh / grid.image_h)) - 1 + dilation
+    lo_c = int(math.floor(win_c.start * gw / grid.image_w)) - dilation
+    hi_c = int(math.ceil(win_c.stop * gw / grid.image_w)) - 1 + dilation
     rows = np.zeros(gh, dtype=bool)
     cols = np.zeros(gw, dtype=bool)
     rows[max(lo_r, 0):min(hi_r, gh - 1) + 1] = True

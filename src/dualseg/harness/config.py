@@ -86,6 +86,8 @@ class RunConfig:
         if self.patch % div_l:
             bad("patch", f"must be divisible by {div_l} "
                 f"(pooled stages, last one kept at full rate)")
+        if self.mask_dilation < 0:
+            bad("mask_dilation", f"must be >= 0, got {self.mask_dilation}")
         if self.focal_gamma < 0:
             bad("focal_gamma", f"must be >= 0, got {self.focal_gamma}")
         if self.coupling_lambda < 0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 from .netpbm import image_to_bytes, write_pgm, write_ppm
 
 BG_LEVEL = 0.40
@@ -29,6 +29,8 @@ CHECKER_LO = 0.15
 CHECKER_HI = 0.85
 BAND_THICKNESS = (24, 32)
 RECT_SIZE = (10, 14)
+MIN_SIZE = 48        # smallest side that fits the band and a rectangle
+MIN_CLASSES = 3      # background, rectangles, band
 
 
 @dataclass
@@ -51,11 +53,12 @@ def _checker(h: int, w: int, y0: int, x0: int, phase: int) -> np.ndarray:
 
 def generate_scene(rng: np.random.Generator, size: int = 64,
                    num_classes: int = 3) -> SyntheticScene:
-    if num_classes < 3:
+    if num_classes < MIN_CLASSES:
+        raise DataError(f"generate_scene: the task needs {MIN_CLASSES} "
+                        f"classes, got {num_classes}")
+    if size < MIN_SIZE:
         raise DataError(
-            f"generate_scene: the task needs 3 classes, got {num_classes}")
-    if size < 48:
-        raise DataError(f"generate_scene: size must be >= 48, got {size}")
+            f"generate_scene: size must be >= {MIN_SIZE}, got {size}")
     image = np.full((3, size, size),
                     BG_LEVEL) + rng.uniform(-BG_NOISE, BG_NOISE, (size, size))
     labels = np.zeros((size, size), dtype=np.int64)
@@ -97,7 +100,16 @@ def _write_split(out_dir: str, count: int, size: int, num_classes: int,
 
 def gen_data(out_dir: str, n_train: int, n_val: int, size: int,
              num_classes: int, seed: int) -> dict:
-    """Write train/ and val/ splits; val uses an offset seed stream."""
+    """Write train/ and val/ splits; val uses an offset seed stream.
+
+    Sizes the task cannot use are configuration errors, raised before
+    any directory is made."""
+    if size < MIN_SIZE:
+        raise ConfigError(f"config key 'image_size': gen-data needs >= "
+                          f"{MIN_SIZE}, got {size}")
+    if num_classes < MIN_CLASSES:
+        raise ConfigError(f"config key 'num_classes': gen-data needs >= "
+                          f"{MIN_CLASSES}, got {num_classes}")
     _write_split(os.path.join(out_dir, "train"), n_train, size,
                  num_classes, seed)
     _write_split(os.path.join(out_dir, "val"), n_val, size,

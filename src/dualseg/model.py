@@ -44,8 +44,8 @@ from .attention import (AttentionWeights, TokenSeq, build_patch_mask,
                         cross_fuse, project_qkv, self_attention)
 from .autodiff import Tensor, _resize_matrix
 from .errors import DataError, DimensionError, UsageError
-from .tiling import (StitchAccumulator, TileGrid, extract_label_patch,
-                     extract_patch, plan_grid, stitch)
+from .tiling import (StitchAccumulator, TileGrid, extract_patch, plan_grid,
+                     stitch)
 
 IN_CHANNELS = 3
 
@@ -353,7 +353,7 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
         fused_g_parts.append(fused_g_i)
         loc_maps_up.append(loc_up)
         s_loc = ad.conv2d(loc_up, head_l_k, padding=0, bias=head_l_b)
-        tile_labels = extract_label_patch(labels, grid, i)
+        tile_labels = extract_patch(labels, grid, i)
         loc_losses.append(focal_loss(s_loc, tile_labels, settings.focal_gamma))
 
     x_glb_tokens = _mean_tensors(fused_g_parts)
@@ -468,7 +468,7 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
         raise UsageError(f"forward_infer: unknown mode {mode!r}")
 
     img_t = Tensor(image)
-    acc = StitchAccumulator(params.num_classes, h, w, grid.patch)
+    acc = StitchAccumulator(params.num_classes, grid)
     d, p = params.backbone.d_model, grid.patch
     agg_k, agg_b = params.f_agg()
     if mem_report is not None:
@@ -485,21 +485,20 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
         fused_g_mean += (fused_g_i.data - fused_g_mean) / (i + 1)
         taps = _conv_taps(loc_map.data, agg_k.data[:, d:])
         acc.add(Tensor(_resized_conv(taps, (p, p), (0, 0), p,
-                                     agg_b.data)).data, grid.origins[i])
+                                     agg_b.data)).data, i)
         del fused_g_i, loc_map      # free before the next tile allocates
 
     # global half: the coverage counts are final, so shares add directly
     gh, gw = glb_seq.spatial
     taps = _conv_taps(fused_g_mean.T.reshape(d, gh, gw), agg_k.data[:, :d])
-    for r, c in grid.origins:
-        acc.add_share(Tensor(_resized_conv(taps, (h, w), (r, c), p)).data,
-                      (r, c))
+    for i, origin in enumerate(grid.origins):
+        acc.add_share(Tensor(_resized_conv(taps, (h, w), origin, p)).data, i)
 
     if mem_report is not None:
         mem_report["peak_bytes"] = LEDGER.peak_bytes
         mem_report["transient_bytes"] = (LEDGER.peak_bytes
                                          - mem_report["baseline_bytes"])
-    return np.argmax(acc.mean, axis=0).astype(np.int64)
+    return np.argmax(acc.mean, axis=0)
 
 
 # ---------------------------------------------------------------------------

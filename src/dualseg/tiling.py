@@ -3,6 +3,9 @@
 `plan_grid` enumerates patch origins with a fixed stride plus a clamped
 final tile per axis, so every pixel is covered and no tile leaves the
 image (images smaller than the patch get one zero-padded tile).
+`TileGrid.window` is the one place that cuts a tile to the canvas:
+`extract_patch` (images and label maps alike), `StitchAccumulator`,
+`stitch` and `attention.build_patch_mask` all read it.
 Overlapping predictions are averaged with a Welford running mean, which
 reproduces each contribution exactly when all contributions agree, at
 any coverage count. `stitch` is the differentiable version of that
@@ -58,6 +61,16 @@ class TileGrid:
     def n_tiles(self) -> int:
         return len(self.origins)
 
+    def window(self, index: int) -> tuple[slice, slice]:
+        """Canvas rows and columns tile `index` covers: its patch, cut at
+        the image edge."""
+        if not 0 <= index < self.n_tiles:
+            raise DimensionError(
+                f"TileGrid.window: tile {index} outside 0..{self.n_tiles - 1}")
+        r, c = self.origins[index]
+        return (slice(r, min(r + self.patch, self.image_h)),
+                slice(c, min(c + self.patch, self.image_w)))
+
 
 def plan_grid(image_h: int, image_w: int, patch: int, overlap: int) -> TileGrid:
     if patch < 1:
@@ -79,38 +92,28 @@ def plan_grid(image_h: int, image_w: int, patch: int, overlap: int) -> TileGrid:
         col_starts=tuple(_axis_starts(image_w, patch, stride)))
 
 
+def _in_canvas(tile: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """The view of a patch-sized `tile` that lies on the canvas in the
+    window `rows`, `cols`."""
+    return tile[..., :rows.stop - rows.start, :cols.stop - cols.start]
+
+
 def extract_patch(image: np.ndarray, grid: TileGrid, index: int) -> np.ndarray:
-    """Copy tile `index` out of a [C,H,W] array, zero-padding past the edge."""
-    if image.ndim != 3 or image.shape[1:] != (grid.image_h, grid.image_w):
+    """Copy tile `index` out of a [..., H, W] array (an image or a label
+    map), zero-padding past the edge and keeping the dtype."""
+    if image.shape[-2:] != (grid.image_h, grid.image_w):
         raise DimensionError(
             f"extract_patch: image {image.shape} does not match grid "
             f"{grid.image_h}x{grid.image_w}")
-    r, c = grid.origins[index]
-    p = grid.patch
-    out = np.zeros((image.shape[0], p, p), dtype=image.dtype)
-    hh = min(p, grid.image_h - r)
-    ww = min(p, grid.image_w - c)
-    out[:, :hh, :ww] = image[:, r:r + hh, c:c + ww]
-    return out
-
-
-def extract_label_patch(labels: np.ndarray, grid: TileGrid, index: int,
-                        fill: int = 0) -> np.ndarray:
-    """Like extract_patch for a [H,W] integer label map."""
-    if labels.shape != (grid.image_h, grid.image_w):
-        raise DimensionError(
-            f"extract_label_patch: labels {labels.shape} do not match grid")
-    r, c = grid.origins[index]
-    p = grid.patch
-    out = np.full((p, p), fill, dtype=labels.dtype)
-    hh = min(p, grid.image_h - r)
-    ww = min(p, grid.image_w - c)
-    out[:hh, :ww] = labels[r:r + hh, c:c + ww]
+    rows, cols = grid.window(index)
+    out = np.zeros(image.shape[:-2] + (grid.patch, grid.patch),
+                   dtype=image.dtype)
+    _in_canvas(out, rows, cols)[...] = image[..., rows, cols]
     return out
 
 
 class StitchAccumulator:
-    """Running per-pixel mean of tile values over a full-size canvas.
+    """Running per-pixel mean of tile values over a grid's full canvas.
 
     `mean` holds the average of everything added so far and `count` the
     per-pixel coverage. The incremental update `m += (x - m) / k` keeps
@@ -119,47 +122,42 @@ class StitchAccumulator:
     `add_share` adds a second term per tile once the counts are final.
     """
 
-    def __init__(self, channels: int, image_h: int, image_w: int, patch: int):
-        self.mean = np.zeros((channels, image_h, image_w))
-        self.count = np.zeros((image_h, image_w), dtype=np.int64)
-        self.patch = int(patch)
+    def __init__(self, channels: int, grid: TileGrid):
+        self.grid = grid
+        self.mean = np.zeros((channels, grid.image_h, grid.image_w))
+        self.count = np.zeros((grid.image_h, grid.image_w), dtype=np.int64)
 
-    def add(self, values: np.ndarray, origin: tuple[int, int]) -> None:
-        tile, region = self._tile_region(values, origin, "add")
-        self.count[region] += 1
-        mean = self.mean[(slice(None),) + region]
-        mean += (tile - mean) / self.count[region]
+    def add(self, values: np.ndarray, index: int) -> None:
+        tile, (rows, cols) = self._tile_region(values, index, "add")
+        self.count[rows, cols] += 1
+        mean = self.mean[:, rows, cols]
+        mean += (tile - mean) / self.count[rows, cols]
 
-    def add_share(self, values: np.ndarray, origin: tuple[int, int]) -> None:
-        """Add `values / count` over the tile's region; `count` is kept.
+    def add_share(self, values: np.ndarray, index: int) -> None:
+        """Add `values / count` over tile `index`'s window; `count` is kept.
 
         With the counts final (every tile already went through `add`),
         adding each tile's second term g_i here turns the stitched mean
         of the l_i into the mean of the sums: mean(l) + sum(g) / count.
         """
-        tile, region = self._tile_region(values, origin, "add_share")
-        count = self.count[region]
+        tile, (rows, cols) = self._tile_region(values, index, "add_share")
+        count = self.count[rows, cols]
         if not count.all():
             raise UsageError(
-                f"StitchAccumulator.add_share: region at {origin} has "
-                f"pixels no tile was added to")
-        self.mean[(slice(None),) + region] += tile / count
+                f"StitchAccumulator.add_share: tile {index} covers pixels "
+                f"no tile was added to")
+        self.mean[:, rows, cols] += tile / count
 
-    def _tile_region(self, values: np.ndarray, origin: tuple[int, int],
-                     method: str) -> tuple[np.ndarray, tuple[slice, slice]]:
-        """The in-canvas part of a tile and the canvas region it covers."""
-        p = self.patch
+    def _tile_region(self, values: np.ndarray, index: int, method: str
+                     ) -> tuple[np.ndarray, tuple[slice, slice]]:
+        """The in-canvas part of a tile and the window it covers."""
+        p = self.grid.patch
         if values.shape != (self.mean.shape[0], p, p):
             raise DimensionError(
                 f"StitchAccumulator.{method}: tile shape {values.shape} != "
                 f"({self.mean.shape[0]}, {p}, {p})")
-        r, c = origin
-        hh = min(p, self.mean.shape[1] - r)
-        ww = min(p, self.mean.shape[2] - c)
-        if hh <= 0 or ww <= 0 or r < 0 or c < 0:
-            raise DimensionError(
-                f"StitchAccumulator.{method}: origin {origin} outside canvas")
-        return values[:, :hh, :ww], (slice(r, r + hh), slice(c, c + ww))
+        rows, cols = self.grid.window(index)
+        return _in_canvas(values, rows, cols), (rows, cols)
 
 
 def stitch(patches: Sequence[Tensor], grid: TileGrid) -> Tensor:
@@ -175,21 +173,19 @@ def stitch(patches: Sequence[Tensor], grid: TileGrid) -> Tensor:
     for t in patches:
         if t.ndim != 3 or t.shape != (channels, grid.patch, grid.patch):
             raise DimensionError(f"stitch: bad tile shape {tuple(t.shape)}")
-    acc = StitchAccumulator(channels, grid.image_h, grid.image_w, grid.patch)
-    for t, origin in zip(patches, grid.origins):
-        acc.add(t.data, origin)
+    acc = StitchAccumulator(channels, grid)
+    for i, t in enumerate(patches):
+        acc.add(t.data, i)
     out = Tensor(acc.mean)
     count = acc.count
 
     def bw(g):
-        for t, (r, c) in zip(patches, grid.origins):
+        for i, t in enumerate(patches):
             if not t.requires_grad:
                 continue
-            hh = min(grid.patch, grid.image_h - r)
-            ww = min(grid.patch, grid.image_w - c)
+            rows, cols = grid.window(i)
             gp = np.zeros_like(t.data)
-            region = (slice(None), slice(r, r + hh), slice(c, c + ww))
-            gp[:, :hh, :ww] = g[region] / count[region[1:]]
+            _in_canvas(gp, rows, cols)[...] = g[:, rows, cols] / count[rows, cols]
             t.accumulate_grad(gp)
 
     return _maybe_record(tuple(patches), out, bw)

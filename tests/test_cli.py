@@ -133,6 +133,18 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "'seed'" in err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("key, value", [("image_size", 40),
+                                            ("num_classes", 2)])
+    def test_gen_data_size_the_task_cannot_use_is_2(self, tmp_path, capsys,
+                                                    key, value):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["gen-data", "--config", str(cfg),
+                     "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"'{key}'" in err
+        assert not (tmp_path / "d").exists()
+
     def test_negative_gradcheck_seed_is_2(self, capsys):
         assert main(["gradcheck", "--seed", "-1"]) == 2
         captured = capsys.readouterr()

@@ -92,7 +92,8 @@ class TestValidation:
                           ("beta1 = 1.0\n", "beta1"),
                           ("lr_global = 0\n", "lr_global"),
                           ("focal_gamma = -2\n", "focal_gamma"),
-                          ("image_size = 16\n", "image_size")]:
+                          ("image_size = 16\n", "image_size"),
+                          ("mask_dilation = -1\n", "mask_dilation")]:
             with pytest.raises(ConfigError, match=key):
                 parse_config_text(text)
 

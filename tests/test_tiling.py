@@ -7,8 +7,8 @@ import dualseg.autodiff as ad
 from dualseg import tiling
 from dualseg.autodiff import GradTape, Tensor
 from dualseg.errors import DimensionError, UsageError
-from dualseg.tiling import (StitchAccumulator, extract_label_patch,
-                            extract_patch, plan_grid, stitch)
+from dualseg.tiling import (StitchAccumulator, extract_patch, plan_grid,
+                            stitch)
 
 
 def coverage_map(grid):
@@ -56,6 +56,26 @@ class TestPlanGrid:
                 if w >= patch:
                     assert c + patch <= w
 
+    def test_window_is_the_patch_cut_at_the_edge(self):
+        rng = np.random.default_rng(6)
+        cases = [(500, 500, 500, 50), (20, 30, 32, 8)]
+        for _ in range(48):
+            patch = int(rng.integers(4, 40))
+            cases.append((int(rng.integers(1, 120)), int(rng.integers(1, 120)),
+                          patch, int(rng.integers(0, patch))))
+        for h, w, patch, overlap in cases:
+            grid = plan_grid(h, w, patch, overlap)
+            for i, (r, c) in enumerate(grid.origins):
+                rows = slice(r, r + min(patch, h - r))
+                cols = slice(c, c + min(patch, w - c))
+                assert grid.window(i) == (rows, cols)
+        assert plan_grid(500, 500, 500, 50).window(0) == (slice(0, 500),) * 2
+        small = plan_grid(20, 30, 32, 8)
+        assert small.window(0) == (slice(0, 20), slice(0, 30))
+        for bad in (-1, small.n_tiles):
+            with pytest.raises(DimensionError):
+                small.window(bad)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(DimensionError):
             plan_grid(10, 10, 4, 4)
@@ -98,9 +118,11 @@ class TestExtract:
     def test_label_patch_fill(self):
         labels = np.full((10, 10), 2, dtype=np.int64)
         grid = plan_grid(10, 10, 16, 4)
-        tile = extract_label_patch(labels, grid, 0, fill=0)
+        tile = extract_patch(labels, grid, 0)
+        assert tile.shape == (16, 16) and tile.dtype == np.int64
         assert (tile[:10, :10] == 2).all()
         assert (tile[10:, :] == 0).all()
+        assert (tile[:, 10:] == 0).all()
 
     def test_rejects_mismatched_image(self):
         grid = plan_grid(8, 8, 4, 1)
@@ -121,9 +143,9 @@ class TestStitch:
     def test_running_mean_exact_where_sum_divide_is_not(self):
         c = 0.1
         assert (c + c + c) / 3 != c  # the naive average drifts at count 3
-        acc = StitchAccumulator(1, 4, 4, 4)
+        acc = StitchAccumulator(1, plan_grid(4, 4, 4, 0))
         for _ in range(3):
-            acc.add(np.full((1, 4, 4), c), (0, 0))
+            acc.add(np.full((1, 4, 4), c), 0)
         np.testing.assert_array_equal(acc.mean, np.full((1, 4, 4), c))
 
     def test_half_overlap_average(self):
@@ -138,9 +160,9 @@ class TestStitch:
 
     def test_accumulator_tracks_coverage(self):
         grid = plan_grid(10, 10, 16, 4)
-        acc = StitchAccumulator(1, 10, 10, 16)
+        acc = StitchAccumulator(1, grid)
         assert not acc.count.any()
-        acc.add(np.ones((1, 16, 16)), grid.origins[0])
+        acc.add(np.ones((1, 16, 16)), 0)
         assert (acc.count == 1).all()
 
     def test_add_share_gives_mean_of_sums(self):
@@ -150,11 +172,11 @@ class TestStitch:
         assert set(np.unique(cov)) == {1, 2, 4}
         ls = [rng.standard_normal((2, 4, 4)) for _ in grid.origins]
         gs = [rng.standard_normal((2, 4, 4)) for _ in grid.origins]
-        acc = StitchAccumulator(2, 6, 6, 4)
-        for l_i, origin in zip(ls, grid.origins):
-            acc.add(l_i, origin)
-        for g_i, origin in zip(gs, grid.origins):
-            acc.add_share(g_i, origin)
+        acc = StitchAccumulator(2, grid)
+        for i, l_i in enumerate(ls):
+            acc.add(l_i, i)
+        for i, g_i in enumerate(gs):
+            acc.add_share(g_i, i)
         total = np.zeros((2, 6, 6))
         for l_i, g_i, (r, c) in zip(ls, gs, grid.origins):
             total[:, r:r + 4, c:c + 4] += l_i + g_i
@@ -162,23 +184,26 @@ class TestStitch:
         np.testing.assert_array_equal(acc.count, cov)
 
     def test_add_share_rejects_what_add_rejects(self):
-        acc = StitchAccumulator(1, 6, 6, 4)
-        acc.add(np.ones((1, 4, 4)), (0, 0))
-        with pytest.raises(DimensionError):
-            acc.add_share(np.ones((1, 3, 4)), (0, 0))
-        with pytest.raises(DimensionError):
-            acc.add_share(np.ones((2, 4, 4)), (0, 0))
-        for origin in [(6, 0), (0, 6), (-1, 0), (0, -1)]:
+        acc = StitchAccumulator(1, plan_grid(6, 6, 4, 2))
+        acc.add(np.ones((1, 4, 4)), 0)
+        for bad in [np.ones((1, 3, 4)), np.ones((2, 4, 4))]:
             with pytest.raises(DimensionError):
-                acc.add(np.ones((1, 4, 4)), origin)
+                acc.add(bad, 0)
             with pytest.raises(DimensionError):
-                acc.add_share(np.ones((1, 4, 4)), origin)
+                acc.add_share(bad, 0)
+        for index in (-1, 4):
+            with pytest.raises(DimensionError):
+                acc.add(np.ones((1, 4, 4)), index)
+            with pytest.raises(DimensionError):
+                acc.add_share(np.ones((1, 4, 4)), index)
 
     def test_add_share_needs_every_pixel_added_first(self):
-        acc = StitchAccumulator(1, 6, 6, 4)
-        acc.add(np.ones((1, 4, 4)), (0, 0))
+        grid = plan_grid(6, 6, 4, 2)
+        assert grid.origins[3] == (2, 2)
+        acc = StitchAccumulator(1, grid)
+        acc.add(np.ones((1, 4, 4)), 0)
         with pytest.raises(UsageError):
-            acc.add_share(np.ones((1, 4, 4)), (2, 2))
+            acc.add_share(np.ones((1, 4, 4)), 3)
         np.testing.assert_array_equal(acc.mean[0, :4, :4], 1.0)
 
     def test_backward_splits_by_coverage(self):
