@@ -1,8 +1,13 @@
 """Command-line entry points.
 
+Each command parses its arguments, makes one harness call and returns
+through `_emit`, which prints one JSON line per result document (and
+first writes the same lines to `--out` where the command takes one).
+
 Exit codes: 0 success, 2 configuration problem (bad config file, bad
 invocation, unusable mask geometry), 3 data problem (unreadable or
-inconsistent files, bad shapes/values), 4 failed check.
+inconsistent files, bad shapes/values, a file the program cannot open,
+read or write), 4 failed check.
 """
 
 from __future__ import annotations
@@ -22,14 +27,24 @@ from .harness.checkpoint import load_checkpoint
 from .harness.config import RunConfig, parse_config, parse_config_text
 from .harness.data import gen_data
 from .harness.train import (GRADCHECK_TOLERANCE, MICRO, ablate, bench_memory,
-                            evaluate_dirs, run_gradcheck, train_run)
-from .model import forward_infer
+                            evaluate_dirs, predict, run_gradcheck, train_run)
 from .tiling import plan_grid
 
 PALETTE = np.array([
     [0, 0, 0], [230, 60, 60], [60, 120, 230], [60, 200, 90],
     [240, 200, 40], [180, 80, 220], [80, 220, 220], [250, 250, 250],
 ], dtype=np.uint8)
+
+
+def _emit(docs, out=None) -> int:
+    """Write one JSON line per document to `out`, when given, then print
+    the same lines; every command returns through here."""
+    text = "".join(json.dumps(doc) + "\n" for doc in docs)
+    if out:
+        with open(out, "w", encoding="ascii") as f:
+            f.write(text)
+    sys.stdout.write(text)
+    return 0
 
 
 def _load_config(args) -> RunConfig:
@@ -45,16 +60,14 @@ def _cmd_gen_data(args) -> int:
     cfg = _load_config(args)
     info = gen_data(args.out, cfg.train_scenes, cfg.val_scenes,
                     cfg.image_size, cfg.num_classes, cfg.seed)
-    print(json.dumps(info))
-    return 0
+    return _emit([info])
 
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     info = train_run(cfg, args.data, args.out,
                      deterministic=args.deterministic)
-    print(json.dumps(info))
-    return 0
+    return _emit([info])
 
 
 def _overlay(image: np.ndarray, pred: np.ndarray) -> np.ndarray:
@@ -67,14 +80,9 @@ def _cmd_infer(args) -> int:
     if args.config:
         cfg = parse_config(args.config)
     raw = netpbm.read_ppm(args.image)
-    image = netpbm.bytes_to_image(raw)
-    h, w = image.shape[1:]
-    grid = plan_grid(h, w, cfg.patch, cfg.overlap) \
-        if args.mode == "patch" else None
     os.makedirs(args.out, exist_ok=True)
     report: dict = {}
-    pred = forward_infer(image, grid, params, cfg.settings(),
-                         mode=args.mode, mem_report=report)
+    pred = predict(cfg, params, netpbm.bytes_to_image(raw), args.mode, report)
     stem = os.path.splitext(os.path.basename(args.image))[0]
     pred_path = os.path.join(args.out, stem + ".pgm")
     netpbm.write_pgm(pred_path, pred.astype(np.uint8))
@@ -87,8 +95,7 @@ def _cmd_infer(args) -> int:
               encoding="ascii") as f:
         json.dump(report, f)
         f.write("\n")
-    print(json.dumps(out))
-    return 0
+    return _emit([out])
 
 
 def _cmd_eval(args) -> int:
@@ -96,21 +103,7 @@ def _cmd_eval(args) -> int:
     if args.config:
         classes = parse_config(args.config).num_classes
     lines, summary = evaluate_dirs(args.pred, args.gt, classes)
-    sink = open(args.out, "w", encoding="ascii") if args.out else None
-    try:
-        for line in lines:
-            text = json.dumps(line)
-            print(text)
-            if sink:
-                sink.write(text + "\n")
-        text = json.dumps({"summary": summary})
-        print(text)
-        if sink:
-            sink.write(text + "\n")
-    finally:
-        if sink:
-            sink.close()
-    return 0
+    return _emit([*lines, {"summary": summary}], args.out)
 
 
 def _cmd_gradcheck(args) -> int:
@@ -123,19 +116,18 @@ def _cmd_gradcheck(args) -> int:
         settings = dataclasses.replace(cfg.settings(),
                                        global_size=MICRO["global_size"])
     report = run_gradcheck(backbone, settings, num_classes, seed=cfg.seed)
-    print(json.dumps(report))
+    code = _emit([report])
     if not report["passed"]:
         raise CheckFailure(
             f"gradient check failed: max relative error "
             f"{report['max_rel_err']:.3e} >= {GRADCHECK_TOLERANCE}")
-    return 0
+    return code
 
 
 def _cmd_ablate(args) -> int:
     cfg = _load_config(args)
     results = ablate(cfg, args.data, args.out, n_seeds=args.seeds)
-    print(json.dumps(results))
-    return 0
+    return _emit([results])
 
 
 def _cmd_tile(args) -> int:
@@ -144,23 +136,13 @@ def _cmd_tile(args) -> int:
            "patch": grid.patch, "overlap": grid.overlap,
            "n_tiles": grid.n_tiles,
            "origins": [list(o) for o in grid.origins]}
-    text = json.dumps(doc)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as f:
-            f.write(text + "\n")
-    print(text)
-    return 0
+    return _emit([doc], args.out)
 
 
 def _cmd_bench_memory(args) -> int:
     cfg = parse_config(args.config) if args.config else None
-    out = bench_memory(cfg)
-    text = json.dumps(out)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as f:
-            f.write(text + "\n")
-    print(text)
-    return 0
+    report = bench_memory(cfg)
+    return _emit([report], args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,7 +228,7 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError, InvalidMaskError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, DimensionError) as exc:
+    except (DataError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CheckFailure as exc:

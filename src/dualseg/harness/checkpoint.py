@@ -97,7 +97,7 @@ def load_checkpoint(path) -> tuple[RunConfig, ModelParams, dict | None]:
     try:
         with open(path, "r", encoding="ascii") as f:
             doc = json.load(f)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc

@@ -9,6 +9,7 @@ comma-separated items.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -88,6 +89,10 @@ class RunConfig:
                 f"(pooled stages, last one kept at full rate)")
         if self.mask_dilation < 0:
             bad("mask_dilation", f"must be >= 0, got {self.mask_dilation}")
+        # float("nan") and float("inf") parse, and NaN passes every bound
+        for key in ("focal_gamma", "coupling_lambda", "lr_global", "lr_local"):
+            if not math.isfinite(getattr(self, key)):
+                bad(key, f"must be finite, got {getattr(self, key)}")
         if self.focal_gamma < 0:
             bad("focal_gamma", f"must be >= 0, got {self.focal_gamma}")
         if self.coupling_lambda < 0:
@@ -174,7 +179,7 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="ascii") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, overrides)
 

@@ -113,5 +113,5 @@ def image_to_bytes(image01: np.ndarray) -> np.ndarray:
 
 
 def bytes_to_image(arr: np.ndarray) -> np.ndarray:
-    """uint8 [H,W,3] -> float [3,H,W] in [0,1]."""
-    return arr.astype(np.float64).transpose(2, 0, 1) / 255.0
+    """uint8 [H,W,3] -> C-contiguous float [3,H,W] in [0,1]."""
+    return np.ascontiguousarray(arr.transpose(2, 0, 1), dtype=np.float64) / 255.0

@@ -27,7 +27,7 @@ from ..tiling import plan_grid
 from .checkpoint import load_checkpoint, make_optimizer, save_checkpoint
 from .config import RunConfig
 from .data import gen_data
-from .netpbm import bytes_to_image, read_pgm, read_ppm
+from .netpbm import bytes_to_image, read_pgm, read_ppm, write_pgm
 
 IGNORE_LABEL = 255
 
@@ -145,19 +145,23 @@ def evaluate_dirs(pred_dir: str, gt_dir: str,
     return lines, summary
 
 
+def predict(cfg: RunConfig, params: ModelParams, image: np.ndarray,
+            mode: str = "patch", mem_report: dict | None = None) -> np.ndarray:
+    """Class map of one [3, H, W] image as `cfg` runs it: tiled by the
+    config's patch grid in patch mode, whole in global mode."""
+    grid = plan_grid(*image.shape[-2:], cfg.patch, cfg.overlap) \
+        if mode == "patch" else None
+    return forward_infer(image, grid, params, cfg.settings(), mode=mode,
+                         mem_report=mem_report)
+
+
 def predict_dir(cfg: RunConfig, params: ModelParams, data_dir: str,
                 out_dir: str, mode: str = "patch") -> list[str]:
     """Write a prediction .pgm next to out_dir for every image in data_dir."""
-    from .netpbm import write_pgm
-
     os.makedirs(out_dir, exist_ok=True)
-    settings = cfg.settings()
     written = []
     for img_path in sorted(glob.glob(os.path.join(data_dir, "*.ppm"))):
-        image = bytes_to_image(read_ppm(img_path))
-        h, w = image.shape[1:]
-        grid = plan_grid(h, w, cfg.patch, cfg.overlap) if mode == "patch" else None
-        pred = forward_infer(image, grid, params, settings, mode=mode)
+        pred = predict(cfg, params, bytes_to_image(read_ppm(img_path)), mode)
         name = os.path.basename(img_path)[: -len(".ppm")] + ".pgm"
         out_path = os.path.join(out_dir, name)
         write_pgm(out_path, pred.astype(np.uint8))
@@ -168,12 +172,9 @@ def predict_dir(cfg: RunConfig, params: ModelParams, data_dir: str,
 def eval_model_on_dir(cfg: RunConfig, params: ModelParams,
                       data_dir: str) -> float:
     """mIoU of the model over a labelled directory, pooled."""
-    settings = cfg.settings()
     pooled = ConfusionMatrix(cfg.num_classes)
     for image, labels in load_pairs(data_dir):
-        h, w = image.shape[1:]
-        grid = plan_grid(h, w, cfg.patch, cfg.overlap)
-        pred = forward_infer(image, grid, params, settings)
+        pred = predict(cfg, params, image)
         pooled.accumulate(pred, labels, ignore_label=IGNORE_LABEL)
     return pooled.miou()
 
@@ -289,16 +290,12 @@ def bench_memory(cfg: RunConfig | None = None,
     backbone = cfg.backbone()
     params = ModelParams(backbone, cfg.num_classes,
                          rng=np.random.default_rng(cfg.seed))
-    settings = cfg.settings()
     out: dict[str, dict] = {"patch": {}, "global": {}}
     for side in sides:
         image = np.random.default_rng(cfg.seed + side).random((3, side, side))
         for mode in ("patch", "global"):
-            grid = plan_grid(side, side, cfg.patch, cfg.overlap) \
-                if mode == "patch" else None
             report: dict = {}
-            forward_infer(image, grid, params, settings, mode=mode,
-                          mem_report=report)
+            predict(cfg, params, image, mode, report)
             out[mode][str(side)] = report
     lo, hi = (str(s) for s in sides)
     out["patch_growth"] = (out["patch"][hi]["transient_bytes"]

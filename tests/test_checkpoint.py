@@ -205,6 +205,15 @@ class TestRejection:
         with pytest.raises(ConfigError, match=f"'{key}' has the wrong type"):
             load_checkpoint(self._write(tmp_path, doc))
 
+    @pytest.mark.parametrize("key,value", [("lr_global", float("nan")),
+                                           ("coupling_lambda", float("inf"))])
+    def test_non_finite_config_value(self, tmp_path, key, value):
+        # json writes these as NaN / Infinity and reads them back
+        doc = self._doc(tmp_path)
+        doc["config"][key] = value
+        with pytest.raises(ConfigError, match=f"'{key}': must be finite"):
+            load_checkpoint(self._write(tmp_path, doc))
+
     def test_optimizer_moments_for_wrong_parameters(self, tmp_path):
         cfg = micro_cfg()
         params = fresh(cfg)

@@ -71,18 +71,26 @@ class TestPipeline:
         capsys.readouterr()
         assert outs["patch"] == outs["global"]
 
-    def test_eval_scores_predictions(self, workspace, capsys):
+    def test_eval_scores_predictions(self, workspace, tmp_path, capsys):
+        out = tmp_path / "eval.jsonl"
         assert main(["eval", "--pred", str(workspace / "pred"),
-                     "--gt", str(workspace / "data/val")]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
+                     "--gt", str(workspace / "data/val"),
+                     "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert out.read_text() == text
+        lines = text.strip().splitlines()
         assert json.loads(lines[0])["image"] == "scene_0000.pgm"
         summary = json.loads(lines[-1])["summary"]
         assert 0.0 <= summary["miou"] <= 1.0
 
-    def test_tile_plan_json(self, capsys):
+    def test_tile_plan_json(self, tmp_path, capsys):
+        out = tmp_path / "plan.json"
         assert main(["tile", "--height", "2448", "--width", "2448",
-                     "--patch", "500", "--overlap", "50"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+                     "--patch", "500", "--overlap", "50",
+                     "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert out.read_text() == text
+        doc = json.loads(text)
         assert doc["n_tiles"] == 36
         assert doc["origins"][5] == [0, 1948]
 
@@ -172,13 +180,14 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 3
         capsys.readouterr()
 
-    def test_corrupt_image_is_3(self, tmp_path, capsys):
+    def test_corrupt_image_is_3(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.ppm"
         bad.write_bytes(b"P6\n4 4\n255\n")
-        ckpt = tmp_path / "no.json"
-        assert main(["infer", "--ckpt", str(ckpt), "--image", str(bad),
-                     "--out", str(tmp_path)]) == 3
-        capsys.readouterr()
+        assert main(["infer", "--ckpt", str(workspace / "run/ckpt.json"),
+                     "--image", str(bad), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "truncated (0 of 48 bytes)" in err
 
     def test_oversized_image_header_is_3(self, workspace, tmp_path, capsys):
         bad = tmp_path / "huge.ppm"
@@ -266,3 +275,113 @@ class TestBenchMemory:
         assert doc["global"]["256"]["transient_bytes"] > 0
         assert doc["patch_growth"] > 0
         assert isinstance(doc["patch_below_global_at_large"], bool)
+
+
+def _mutations(data: bytes):
+    """Truncations and byte flips of a file at fixed offsets."""
+    n = len(data)
+    for cut in (0, 1, 12, n // 2, n - 1):
+        yield data[:cut]
+    for at in (0, 3, 12, n // 2):
+        for byte in (0xFF, data[at] ^ 0x01):
+            flipped = bytearray(data)
+            flipped[at] = byte
+            yield bytes(flipped)
+
+
+class TestCorruptionTable:
+    """Each input file a command reads, truncated, flipped or missing, and
+    each --out a command cannot write: the command finishes or exits 2 or 3
+    with one line on stderr. A corrupt config is fed to eval and infer only:
+    whatever config it still parses to runs quickly there, while train
+    could lose `steps = 2` and run 500 steps."""
+
+    SCENE = "scene_0000"
+    # kind -> (file name in the input directory, its source in the workspace)
+    FILES = {"ckpt": ("ckpt.json", "run/ckpt.json"),
+             "ppm": (f"{SCENE}.ppm", f"data/val/{SCENE}.ppm"),
+             "pgm": (f"{SCENE}.labels.pgm", f"data/val/{SCENE}.labels.pgm"),
+             "cfg": ("run.cfg", "run.cfg")}
+    FED = [("ckpt", "infer"), ("ppm", "infer"), ("ppm", "train"),
+           ("pgm", "train"), ("pgm", "eval"), ("cfg", "eval"),
+           ("cfg", "infer")]
+
+    def _argv(self, ws, tmp, command, kind, content):
+        """`command` reading a copy of the workspace inputs in which the
+        `kind` file holds `content`, or is missing when that is None."""
+        inputs = tmp / "in"
+        inputs.mkdir()
+        for k, (name, src) in self.FILES.items():
+            data = (ws / src).read_bytes() if k != kind else content
+            if data is not None:
+                (inputs / name).write_bytes(data)
+        # the prediction eval scores: a copy of the clean labels
+        (inputs / f"{self.SCENE}.pgm").write_bytes(
+            (ws / self.FILES["pgm"][1]).read_bytes())
+        cfg = inputs / "run.cfg"
+        return {"infer": ["infer", "--ckpt", inputs / "ckpt.json",
+                          "--image", inputs / f"{self.SCENE}.ppm",
+                          "--config", cfg, "--out", tmp / "out"],
+                "train": ["train", "--config", ws / "run.cfg",
+                          "--data", inputs, "--out", tmp / "run"],
+                "eval": ["eval", "--config", cfg, "--pred", inputs,
+                         "--gt", inputs]}[command]
+
+    @staticmethod
+    def _run(argv, capsys, codes=(0, 2, 3)):
+        code = main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert code in codes, (argv, code, captured.err)
+        assert captured.err.count("\n") <= 1, (argv, captured.err)
+        if code:
+            assert captured.err.startswith("error: "), (argv, captured.err)
+        return captured
+
+    @pytest.mark.parametrize("kind, command", FED)
+    def test_corrupt_input(self, workspace, tmp_path, capsys, kind, command):
+        clean = (workspace / self.FILES[kind][1]).read_bytes()
+        for i, content in enumerate(_mutations(clean)):
+            tmp = tmp_path / str(i)
+            tmp.mkdir()
+            self._run(self._argv(workspace, tmp, command, kind, content),
+                      capsys)
+
+    @pytest.mark.parametrize("kind, command", FED)
+    def test_missing_input(self, workspace, tmp_path, capsys, kind, command):
+        self._run(self._argv(workspace, tmp_path, command, kind, None),
+                  capsys, codes=(2,) if kind == "cfg" else (3,))
+
+    @pytest.mark.parametrize("kind, code", [("ckpt", 3), ("cfg", 2)])
+    def test_non_ascii_byte(self, workspace, tmp_path, capsys, kind, code):
+        content = bytearray((workspace / self.FILES[kind][1]).read_bytes())
+        content[3] = 0xFF
+        argv = self._argv(workspace, tmp_path, "infer", kind, bytes(content))
+        err = self._run(argv, capsys, codes=(code,)).err
+        assert "cannot read" in err and "0xff" in err
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "infer",
+                                         "eval", "tile", "bench-memory",
+                                         "ablate"])
+    def test_unwritable_out_is_3(self, workspace, tmp_path, capsys, command):
+        # a regular file where a directory must be: no mode bits involved
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        ws, val = workspace, workspace / "data/val"
+        labels = (ws / self.FILES["pgm"][1]).read_bytes()
+        (tmp_path / f"{self.SCENE}.pgm").write_bytes(labels)
+        argv = {
+            "gen-data": ["--config", ws / "run.cfg", "--out", blocker],
+            "train": ["--config", ws / "run.cfg", "--data", ws / "data/train",
+                      "--out", blocker],
+            "infer": ["--ckpt", ws / "run/ckpt.json",
+                      "--image", val / f"{self.SCENE}.ppm", "--out", blocker],
+            "eval": ["--pred", tmp_path, "--gt", val,
+                     "--out", blocker / "e.json"],
+            "tile": ["--height", 64, "--width", 64, "--patch", 32,
+                     "--out", blocker / "t.json"],
+            "bench-memory": ["--out", blocker / "b.json"],
+            "ablate": ["--config", ws / "run.cfg", "--data", ws / "data",
+                       "--seeds", 1, "--out", blocker / "a.csv"],
+        }[command]
+        # --out is written before anything is printed
+        assert self._run([command, *argv], capsys, codes=(3,)).out == ""

@@ -93,7 +93,11 @@ class TestValidation:
                           ("lr_global = 0\n", "lr_global"),
                           ("focal_gamma = -2\n", "focal_gamma"),
                           ("image_size = 16\n", "image_size"),
-                          ("mask_dilation = -1\n", "mask_dilation")]:
+                          ("mask_dilation = -1\n", "mask_dilation"),
+                          ("lr_global = nan\n", "lr_global"),
+                          ("lr_local = inf\n", "lr_local"),
+                          ("focal_gamma = nan\n", "focal_gamma"),
+                          ("coupling_lambda = inf\n", "coupling_lambda")]:
             with pytest.raises(ConfigError, match=key):
                 parse_config_text(text)
 
