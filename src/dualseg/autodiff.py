@@ -585,6 +585,23 @@ def _pool_matrix(n: int, f: int) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=128)
+def _resize_reads(src: int, dst: int
+                  ) -> tuple[slice | np.ndarray, np.ndarray]:
+    """(index, matrix) for a forward resize along one axis: the source
+    indices `_resize_matrix(src, dst)` puts a weight on and its columns
+    at them. A shrink weights only a few sources per output, so it reads
+    a subset; when every source is read the index is a full slice and the
+    matrix is `_resize_matrix` itself. Memoised and read-only."""
+    m = _resize_matrix(src, dst)
+    read = np.flatnonzero(m.any(axis=0))
+    if read.size == src:
+        return slice(None), m
+    cols = m[:, read]
+    cols.flags.writeable = False
+    return read, cols
+
+
 def avg_pool2d(x: Tensor, factor: int = 2) -> Tensor:
     """Mean over non-overlapping factor x factor blocks of [C,H,W].
 
@@ -613,15 +630,19 @@ def bilinear_resize(x: Tensor, target_h: int, target_w: int) -> Tensor:
     Half-pixel centres, edge clamping. The map is out = Ry · x · Rxᵀ per
     channel with Ry [th, H] and Rx [tw, W] from `_resize_matrix`, so
     backward is the adjoint gx = Ryᵀ · g · Rx: two small GEMMs each way,
-    no gather and no scatter.
+    no scatter. The forward multiplies only the source rows and columns
+    that carry a weight (`_resize_reads`), so a shrink of a large image
+    costs O(C·th·W) rather than O(C·H·W·tw).
     """
     if x.ndim != 3:
         raise DimensionError(f"bilinear_resize expects [C,H,W], got {tuple(x.shape)}")
     th, tw = int(target_h), int(target_w)
     if th < 1 or tw < 1:
         raise DimensionError(f"bilinear_resize: non-positive target {th}x{tw}")
-    ry, rx = _resize_matrix(x.shape[1], th), _resize_matrix(x.shape[2], tw)
-    out = Tensor(ry @ (x.data @ rx.T))
+    h, w = x.shape[1:]
+    ry, rx = _resize_matrix(h, th), _resize_matrix(w, tw)
+    (iy, my), (ix, mx) = _resize_reads(h, th), _resize_reads(w, tw)
+    out = Tensor(my @ (x.data[:, iy][:, :, ix] @ mx.T))
 
     def bw(g):
         if x.requires_grad:

@@ -24,7 +24,8 @@ from .errors import (CheckFailure, ConfigError, DataError, DimensionError,
                      InvalidMaskError, UsageError)
 from .harness import netpbm
 from .harness.checkpoint import load_checkpoint
-from .harness.config import RunConfig, parse_config, parse_config_text
+from .harness.config import (RunConfig, override_config, parse_config,
+                              parse_config_text)
 from .harness.data import gen_data
 from .harness.train import (GRADCHECK_TOLERANCE, MICRO, ablate, bench_memory,
                             evaluate_dirs, predict, run_gradcheck, train_run)
@@ -45,6 +46,14 @@ def _emit(docs, out=None) -> int:
             f.write(text)
     sys.stdout.write(text)
     return 0
+
+
+def _in_range(flag: str, value: int, low: int,
+              high: int | None = None) -> None:
+    """Refuse a command-line number outside low..high: a bad invocation."""
+    if value < low or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise UsageError(f"{flag} must be {span}, got {value}")
 
 
 def _load_config(args) -> RunConfig:
@@ -78,7 +87,7 @@ def _overlay(image: np.ndarray, pred: np.ndarray) -> np.ndarray:
 def _cmd_infer(args) -> int:
     cfg, params, _ = load_checkpoint(args.ckpt)
     if args.config:
-        cfg = parse_config(args.config)
+        cfg = override_config(cfg, args.config)
     raw = netpbm.read_ppm(args.image)
     os.makedirs(args.out, exist_ok=True)
     report: dict = {}
@@ -99,6 +108,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _in_range("--classes", args.classes, 1)
     classes = args.classes
     if args.config:
         classes = parse_config(args.config).num_classes
@@ -131,6 +141,9 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_tile(args) -> int:
+    for flag in ("height", "width", "patch"):
+        _in_range(f"--{flag}", getattr(args, flag), 1)
+    _in_range("--overlap", args.overlap, 0, args.patch - 1)
     grid = plan_grid(args.height, args.width, args.patch, args.overlap)
     doc = {"image_h": grid.image_h, "image_w": grid.image_w,
            "patch": grid.patch, "overlap": grid.overlap,

@@ -151,9 +151,9 @@ def _parse_value(key: str, raw: str, default):
     raise ConfigError(f"config key '{key}': unsupported type")  # pragma: no cover
 
 
-def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
-    cfg = RunConfig()
-    seen = set()
+def _config_keys(text: str) -> dict:
+    """The typed value of every key the text sets."""
+    keys = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -164,10 +164,14 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
             raise ConfigError(f"config line {lineno}: unknown key '{key}'")
-        if key in seen:
+        if key in keys:
             raise ConfigError(f"config line {lineno}: duplicate key '{key}'")
-        seen.add(key)
-        setattr(cfg, key, _parse_value(key, raw, getattr(RunConfig(), key)))
+        keys[key] = _parse_value(key, raw, _FIELDS[key].default)
+    return keys
+
+
+def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
+    cfg = dataclasses.replace(RunConfig(), **_config_keys(text))
     for key, value in (overrides or {}).items():
         if key not in _FIELDS:
             raise ConfigError(f"config override: unknown key '{key}'")
@@ -175,13 +179,33 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
     return cfg.validate()
 
 
-def parse_config(path, overrides: dict | None = None) -> RunConfig:
+def _read_config(path) -> str:
     try:
         with open(path, "r", encoding="ascii") as f:
-            text = f.read()
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text, overrides)
+
+
+def parse_config(path, overrides: dict | None = None) -> RunConfig:
+    return parse_config_text(_read_config(path), overrides)
+
+
+# what a trained model's weights are shaped by
+_MODEL_KEYS = ("stage_channels", "downsample", "d_model", "num_classes")
+
+
+def override_config(base: RunConfig, path) -> RunConfig:
+    """`base` with only the keys the config file at `path` sets replaced.
+    A model's weights fix its `_MODEL_KEYS`, so a file that gives one of
+    them another value than `base` has is refused."""
+    keys = _config_keys(_read_config(path))
+    for key in _MODEL_KEYS:
+        if key in keys and keys[key] != getattr(base, key):
+            raise ConfigError(
+                f"config key '{key}': the model has {getattr(base, key)}, "
+                f"the file sets {keys[key]}")
+    return dataclasses.replace(base, **keys).validate()
 
 
 def preset_convergence() -> RunConfig:

@@ -11,31 +11,38 @@ to the global cells around their tile (`use_mask`); the reverse
 direction is never masked, because a distant global query would be left
 with no allowed keys, which is a hard error by design.
 
-Per tile, the fused local tokens are mapped back to a feature map,
-upsampled to tile resolution and stitched onto the full canvas; the
-fused global tokens are averaged over tiles. A 3x3 conv over the
-channel-concat of both (global resized up to canvas size) yields the
-aggregate logits. Training adds per-branch 1x1 heads and combines three
-focal losses with a Euclidean penalty tying the two branches' features
-together; the penalty reads the same resized global map as the concat,
-so a training step builds that [d, H, W] map once.
+Both passes share one front end: `_checked_image` checks the image and
+its grid, `_global_branch` runs the global branch once and projects its
+tokens for fusion, and `_tile_forward` runs one tile's local branch
+(`_branch_tokens`, as the global branch does) and its cross-attention.
+Both sum the tiles' fused global tokens in tile order and scale the sum
+once by 1 / n_tiles, so inference aggregates training's global map bit
+for bit.
 
-Inference (`forward_infer`) runs the same per-tile pipeline
-(`_tile_forward`) without a tape, once per tile in patch mode (bounded
-transients) or on one full-size tile in global mode. The aggregation
-conv is linear in its input channels, so its local half is stitched in
-that one pass and its global half, which needs the averaged global map,
-is added per tile afterwards. Neither half builds a resized map:
-`_resized_conv` folds the bilinear upsample into the conv as three small
-GEMMs on the token-resolution map, equal to resize-then-conv to rounding.
-A one-tile image gets the same arithmetic, and prediction, in both modes.
+Per tile, the fused local tokens are mapped back to a feature map,
+upsampled to tile resolution and stitched onto the full canvas. A 3x3
+conv over the channel-concat of both (global resized up to canvas size)
+yields the aggregate logits. Training adds per-branch 1x1 heads and
+combines three focal losses with a Euclidean penalty tying the two
+branches' features together; the penalty reads the same resized global
+map as the concat, so a training step builds that [d, H, W] map once.
+
+Inference (`forward_infer`) runs the same tile pipeline without a tape,
+once per tile in patch mode (bounded transients) or on one full-size
+tile in global mode. The aggregation conv is linear in its input
+channels, so its local half is stitched in that one pass and its global
+half, which needs the global map, is added per tile afterwards. Neither
+half builds a resized map: `_resized_conv` folds the bilinear upsample
+into the conv as three small GEMMs on the token-resolution map, equal to
+resize-then-conv to rounding. A one-tile image gets the same arithmetic,
+and prediction, in both modes.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -279,49 +286,66 @@ def coupling_penalty(x_loc: Tensor, x_glb: Tensor) -> Tensor:
     return ad.sqrt(ad.sum_all(ad.mul(diff, diff)))
 
 
-def _mean_tensors(parts: Sequence[Tensor]) -> Tensor:
-    acc = parts[0]
-    for t in parts[1:]:
-        acc = ad.add(acc, t)
-    return ad.scale(acc, 1.0 / len(parts))
-
-
 # ---------------------------------------------------------------------------
 # forward passes
 
 
-def _global_tokens(image: Tensor, params: ModelParams,
+class GlobalContext(NamedTuple):
+    """What every tile attends to: the global tokens and their fuse_g
+    query, key and value projections."""
+
+    seq: TokenSeq
+    q: Tensor
+    k: Tensor
+    v: Tensor
+
+
+def _checked_image(image: np.ndarray, grid: Optional[TileGrid],
+                   caller: str) -> np.ndarray:
+    """`image` as float64 after checking it is [3, H, W] and, when a grid
+    is given, that the grid was planned for H x W."""
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim != 3 or image.shape[0] != IN_CHANNELS:
+        raise DimensionError(f"{caller}: image must be [3,H,W], got {image.shape}")
+    if grid is not None and (grid.image_h, grid.image_w) != image.shape[1:]:
+        raise DimensionError(f"{caller}: grid does not match image size")
+    return image
+
+
+def _branch_tokens(x: Tensor, params: ModelParams, branch: str,
                    settings: TrainSettings) -> TokenSeq:
+    """Backbone tokens of one branch ("g" or "l"), refined by residual
+    self-attention when enabled; the local branch keeps its last stage
+    at full rate."""
+    # rebinding x drops the branch input before self-attention runs
+    x = backbone_forward(x, params, branch, skip_last_pool=branch == "l")
+    seq = tokens_from_map(x)
+    if settings.use_self_attn:
+        seq = refine_tokens(seq, params.attn(f"sa_{branch}"))
+    return seq
+
+
+def _global_branch(img_t: Tensor, params: ModelParams,
+                   settings: TrainSettings) -> GlobalContext:
+    """The whole image downsampled to global_size, run through the global
+    branch once per pass."""
     g = settings.global_size
-    small = ad.bilinear_resize(image, g, g)
-    fmap = backbone_forward(small, params, "g")
-    seq = tokens_from_map(fmap)
-    if settings.use_self_attn:
-        seq = refine_tokens(seq, params.attn("sa_g"))
-    return seq
-
-
-def _local_tokens(tile: np.ndarray, params: ModelParams,
-                  settings: TrainSettings) -> TokenSeq:
-    fmap = backbone_forward(Tensor(tile), params, "l", skip_last_pool=True)
-    seq = tokens_from_map(fmap)
-    if settings.use_self_attn:
-        seq = refine_tokens(seq, params.attn("sa_l"))
-    return seq
+    seq = _branch_tokens(ad.bilinear_resize(img_t, g, g), params, "g", settings)
+    return GlobalContext(seq, *project_qkv(seq, params.attn("fuse_g")))
 
 
 def _tile_forward(image: np.ndarray, grid: TileGrid, i: int,
-                  glb_seq: TokenSeq, q_g: Tensor, k_g: Tensor, v_g: Tensor,
-                  params: ModelParams, settings: TrainSettings
-                  ) -> tuple[Tensor, Tensor]:
+                  glb: GlobalContext, params: ModelParams,
+                  settings: TrainSettings) -> tuple[Tensor, Tensor]:
     """Tile `i`'s fused global tokens and fused local map [d, h_t, w_t] at
     token resolution: the one tile pipeline of training and inference."""
-    loc_seq = _local_tokens(extract_patch(image, grid, i), params, settings)
+    loc_seq = _branch_tokens(Tensor(extract_patch(image, grid, i)), params,
+                             "l", settings)
     q_l, k_l, v_l = project_qkv(loc_seq, params.attn("fuse_l"))
-    mask_lg = build_patch_mask(grid, i, glb_seq.spatial,
+    mask_lg = build_patch_mask(grid, i, glb.seq.spatial,
                                settings.mask_dilation) \
         if settings.use_mask else None
-    fused_g_i, fused_l_i = cross_fuse(q_g, k_l, v_l, q_l, k_g, v_g,
+    fused_g_i, fused_l_i = cross_fuse(glb.q, k_l, v_l, q_l, glb.k, glb.v,
                                       mask_gl=None, mask_lg=mask_lg)
     return fused_g_i, map_from_tokens(TokenSeq(fused_l_i, loc_seq.spatial))
 
@@ -330,40 +354,32 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
                   params: ModelParams, settings: TrainSettings
                   ) -> tuple[BranchOutputs, LossBreakdown]:
     """Full training pass over one image; returns outputs and the loss."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3 or image.shape[0] != IN_CHANNELS:
-        raise DimensionError(f"forward_train: image must be [3,H,W], got {image.shape}")
+    image = _checked_image(image, grid, "forward_train")
     h, w = image.shape[1:]
-    if (grid.image_h, grid.image_w) != (h, w):
-        raise DimensionError("forward_train: grid does not match image size")
     labels = _check_labels(labels, params.num_classes, (h, w))
 
     img_t = Tensor(image)
-    glb_seq = _global_tokens(img_t, params, settings)
-    q_g, k_g, v_g = project_qkv(glb_seq, params.attn("fuse_g"))
-
-    fused_g_parts: list[Tensor] = []
+    glb = _global_branch(img_t, params, settings)
     loc_maps_up: list[Tensor] = []
-    loc_losses: list[Tensor] = []
     head_l_k, head_l_b = params.head("l")
     for i in range(grid.n_tiles):
-        fused_g_i, loc_map = _tile_forward(image, grid, i, glb_seq, q_g, k_g,
-                                           v_g, params, settings)
+        fused_g, loc_map = _tile_forward(image, grid, i, glb, params, settings)
         loc_up = ad.bilinear_resize(loc_map, grid.patch, grid.patch)
-        fused_g_parts.append(fused_g_i)
         loc_maps_up.append(loc_up)
         s_loc = ad.conv2d(loc_up, head_l_k, padding=0, bias=head_l_b)
-        tile_labels = extract_patch(labels, grid, i)
-        loc_losses.append(focal_loss(s_loc, tile_labels, settings.focal_gamma))
+        loss_i = focal_loss(s_loc, extract_patch(labels, grid, i),
+                            settings.focal_gamma)
+        # running sums in tile order, scaled once below
+        fused_g_sum = fused_g if i == 0 else ad.add(fused_g_sum, fused_g)
+        loc_loss_sum = loss_i if i == 0 else ad.add(loc_loss_sum, loss_i)
 
-    x_glb_tokens = _mean_tensors(fused_g_parts)
-    x_glb = map_from_tokens(TokenSeq(x_glb_tokens, glb_seq.spatial))
+    x_glb = map_from_tokens(TokenSeq(
+        ad.scale(fused_g_sum, 1.0 / grid.n_tiles), glb.seq.spatial))
     x_loc_full = stitch(loc_maps_up, grid)
 
     head_g_k, head_g_b = params.head("g")
     s_glb = ad.conv2d(x_glb, head_g_k, padding=0, bias=head_g_b)
-    gh, gw = glb_seq.spatial
-    labels_g = downsample_labels_nn(labels, gh, gw)
+    labels_g = downsample_labels_nn(labels, *glb.seq.spatial)
 
     agg_k, agg_b = params.f_agg()
     glb_up = ad.bilinear_resize(x_glb, h, w)
@@ -372,7 +388,7 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
 
     main_t = focal_loss(s_agg, labels, settings.focal_gamma)
     aux_g_t = focal_loss(s_glb, labels_g, settings.focal_gamma)
-    aux_l_t = _mean_tensors(loc_losses)
+    aux_l_t = ad.scale(loc_loss_sum, 1.0 / grid.n_tiles)
     coupling_t = coupling_penalty(x_loc_full, glb_up)
 
     lam = settings.coupling_lambda
@@ -450,22 +466,18 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
     """
     from .memory import LEDGER
 
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3 or image.shape[0] != IN_CHANNELS:
-        raise DimensionError(f"forward_infer: image must be [3,H,W], got {image.shape}")
+    image = _checked_image(image, grid if mode == "patch" else None,
+                           "forward_infer")
     h, w = image.shape[1:]
-    if mode == "patch":
-        if grid is None:
-            raise UsageError("forward_infer: patch mode needs a tile grid")
-        if (grid.image_h, grid.image_w) != (h, w):
-            raise DimensionError("forward_infer: grid does not match image size")
-    elif mode == "global":
+    if mode == "global":
         stride = params.backbone.stride(skip_last_pool=True)
         side = max(h, w)
         side = ((side + stride - 1) // stride) * stride
         grid = plan_grid(h, w, side, 0)
-    else:
+    elif mode != "patch":
         raise UsageError(f"forward_infer: unknown mode {mode!r}")
+    elif grid is None:
+        raise UsageError("forward_infer: patch mode needs a tile grid")
 
     img_t = Tensor(image)
     acc = StitchAccumulator(params.num_classes, grid)
@@ -474,23 +486,20 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
     if mem_report is not None:
         mem_report["baseline_bytes"] = LEDGER.reset_peak()
 
-    glb_seq = _global_tokens(img_t, params, settings)
-    q_g, k_g, v_g = project_qkv(glb_seq, params.attn("fuse_g"))
-
-    # running mean of the fused global tokens; stitch of the local half
-    fused_g_mean = np.zeros_like(q_g.data)
+    glb = _global_branch(img_t, params, settings)
+    # sum the fused global tokens in tile order, as forward_train does;
+    # stitch the local half
     for i in range(grid.n_tiles):
-        fused_g_i, loc_map = _tile_forward(image, grid, i, glb_seq, q_g, k_g,
-                                           v_g, params, settings)
-        fused_g_mean += (fused_g_i.data - fused_g_mean) / (i + 1)
+        fused_g, loc_map = _tile_forward(image, grid, i, glb, params, settings)
+        fused_g_sum = fused_g.data if i == 0 else fused_g_sum + fused_g.data
         taps = _conv_taps(loc_map.data, agg_k.data[:, d:])
         acc.add(Tensor(_resized_conv(taps, (p, p), (0, 0), p,
                                      agg_b.data)).data, i)
-        del fused_g_i, loc_map      # free before the next tile allocates
+        del fused_g, loc_map  # free before the next tile allocates
 
     # global half: the coverage counts are final, so shares add directly
-    gh, gw = glb_seq.spatial
-    taps = _conv_taps(fused_g_mean.T.reshape(d, gh, gw), agg_k.data[:, :d])
+    x_glb = (fused_g_sum * (1.0 / grid.n_tiles)).T.reshape(d, *glb.seq.spatial)
+    taps = _conv_taps(x_glb, agg_k.data[:, :d])
     for i, origin in enumerate(grid.origins):
         acc.add_share(Tensor(_resized_conv(taps, (h, w), origin, p)).data, i)
 

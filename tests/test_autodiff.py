@@ -690,6 +690,26 @@ class TestPoolAndResize:
         if src == dst:
             np.testing.assert_array_equal(tx.grad, g)
 
+    # a shrink puts weight on only some source rows and columns; the
+    # forward multiplies just those and must agree with the dense product
+    @pytest.mark.parametrize("src,dst", [
+        ((64, 64), (5, 5)),      # square
+        ((96, 96), (32, 32)),    # integer factor: zero-weight taps dropped
+        ((40, 24), (6, 3)),      # non-square
+        ((1, 9), (1, 2)),        # 1-pixel rows, every row read
+        ((8, 8), (1, 1)),        # down to one pixel
+        ((97, 89), (7, 5)),      # prime sizes
+    ])
+    def test_bilinear_shrink_reads_a_subset_like_the_dense_product(
+            self, src, dst):
+        x = np.random.default_rng(15).standard_normal((3,) + src)
+        ry = ad._resize_matrix(src[0], dst[0])
+        rx = ad._resize_matrix(src[1], dst[1])
+        read, cols = ad._resize_reads(src[1], dst[1])
+        assert read.size < src[1] and not cols.flags.writeable
+        np.testing.assert_allclose(ad.bilinear_resize(Tensor(x), *dst).data,
+                                   ry @ (x @ rx.T), rtol=0, atol=1e-12)
+
     def test_bilinear_rejects_bad_target(self):
         with pytest.raises(DimensionError):
             ad.bilinear_resize(Tensor(np.ones((1, 4, 4))), 0, 4)

@@ -1,5 +1,6 @@
 """Command-line surface: pipelines, artifacts, exit codes."""
 
+import dataclasses
 import json
 import time
 
@@ -8,6 +9,8 @@ import pytest
 
 from dualseg import cli
 from dualseg.cli import main
+from dualseg.harness.checkpoint import load_checkpoint
+from dualseg.harness.config import RunConfig
 from dualseg.harness.train import MICRO
 from dualseg.model import TrainSettings
 from dualseg.harness.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
@@ -71,6 +74,27 @@ class TestPipeline:
         capsys.readouterr()
         assert outs["patch"] == outs["global"]
 
+    def test_infer_config_overrides_only_the_keys_it_sets(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        ckpt_cfg, _, _ = load_checkpoint(workspace / "run/ckpt.json")
+        assert ckpt_cfg.global_size == 8 != RunConfig().global_size
+        cfg = tmp_path / "nomask.cfg"
+        cfg.write_text("use_mask = false\n")
+        seen = []
+        real_predict = cli.predict
+
+        def predict(cfg, *args):
+            seen.append(cfg)
+            return real_predict(cfg, *args)
+
+        monkeypatch.setattr(cli, "predict", predict)
+        assert main(["infer", "--ckpt", str(workspace / "run/ckpt.json"),
+                     "--config", str(cfg),
+                     "--image", str(workspace / "data/val/scene_0000.ppm"),
+                     "--out", str(tmp_path / "pred")]) == 0
+        capsys.readouterr()
+        assert seen == [dataclasses.replace(ckpt_cfg, use_mask=False)]
+
     def test_eval_scores_predictions(self, workspace, tmp_path, capsys):
         out = tmp_path / "eval.jsonl"
         assert main(["eval", "--pred", str(workspace / "pred"),
@@ -119,6 +143,45 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "needs 1000000000000 tiles" in captured.err
+
+    @pytest.mark.parametrize("args, flag", [
+        (["tile", "--height", "10", "--width", "10", "--patch", "0"],
+         "--patch"),
+        (["tile", "--height", "0", "--width", "10", "--patch", "4"],
+         "--height"),
+        (["tile", "--height", "10", "--width", "-3", "--patch", "4"],
+         "--width"),
+        (["tile", "--height", "10", "--width", "10", "--patch", "4",
+          "--overlap", "4"], "--overlap"),
+        (["tile", "--height", "10", "--width", "10", "--patch", "4",
+          "--overlap", "-1"], "--overlap"),
+        (["eval", "--pred", ".", "--gt", ".", "--classes", "0"], "--classes"),
+    ])
+    def test_out_of_range_number_is_2(self, capsys, args, flag):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and flag in captured.err
+
+    # the weights fix the model keys: a file naming another model is
+    # refused, whichever key differs
+    @pytest.mark.parametrize("text, key", [
+        ("stage_channels = 8,8\nd_model = 8\n", "stage_channels"),
+        ("d_model = 8\n", "d_model"),
+        ("downsample = true,false\n", "downsample"),
+        ("num_classes = 4\n", "num_classes"),
+    ])
+    def test_infer_config_for_another_model_is_2(self, workspace, tmp_path,
+                                                 capsys, text, key):
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(text)
+        assert main(["infer", "--ckpt", str(workspace / "run/ckpt.json"),
+                     "--config", str(cfg),
+                     "--image", str(workspace / "data/val/scene_0000.ppm"),
+                     "--out", str(tmp_path / "pred")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"'{key}'" in err
+        assert not (tmp_path / "pred").exists()
 
     def test_unknown_config_key_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

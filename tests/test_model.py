@@ -12,7 +12,6 @@ import pytest
 
 import dualseg.autodiff as ad
 import dualseg.model as model
-from dualseg.attention import project_qkv
 from dualseg.autodiff import GradTape, Tensor
 from dualseg.errors import DataError, DimensionError, UsageError
 from dualseg.harness.config import preset_convergence
@@ -74,20 +73,17 @@ def two_pass_infer_oracle(image, grid, params, settings):
     the tile logits are stitched with a Welford mean."""
     h, w = image.shape[1:]
     p = grid.patch
-    glb_seq = model._global_tokens(Tensor(image), params, settings)
-    q_g, k_g, v_g = project_qkv(glb_seq, params.attn("fuse_g"))
-    fused = [model._tile_forward(image, grid, i, glb_seq, q_g, k_g, v_g,
-                                 params, settings)[0].data
+    glb = model._global_branch(Tensor(image), params, settings)
+    fused = [model._tile_forward(image, grid, i, glb, params, settings)[0].data
              for i in range(grid.n_tiles)]
-    gh, gw = glb_seq.spatial
+    gh, gw = glb.seq.spatial
     x_glb = np.mean(fused, axis=0).T.reshape(params.backbone.d_model, gh, gw)
     glb_full = ad.bilinear_resize(Tensor(x_glb), h, w).data
     agg_k, agg_b = params.f_agg()
     mean = np.zeros((params.num_classes, h, w))
     count = np.zeros((h, w))
     for i, (r, c) in enumerate(grid.origins):
-        _, loc_map = model._tile_forward(image, grid, i, glb_seq, q_g, k_g,
-                                         v_g, params, settings)
+        _, loc_map = model._tile_forward(image, grid, i, glb, params, settings)
         loc_up = ad.bilinear_resize(loc_map, p, p)
         hh, ww = min(p, h - r), min(p, w - c)
         glb_win = np.zeros((x_glb.shape[0], p, p))
@@ -531,6 +527,26 @@ class TestForwardInfer:
         want = two_pass_infer_oracle(image, grid, params, settings)
         got = forward_infer(image, grid, params, settings, mode="patch")
         assert np.array_equal(got, want)
+
+    # both passes sum the tiles' fused global tokens in tile order and
+    # scale once, so the map inference aggregates is training's x_glb
+    @pytest.mark.parametrize("seed", range(6))
+    def test_global_map_equals_training_x_glb(self, monkeypatch, seed):
+        params, image, labels, grid, settings = micro_setup(
+            seed=seed, num_classes=3, h=40, w=28, patch=16, overlap=4)
+        assert grid.n_tiles == 6
+        maps, real_taps = [], model._conv_taps
+
+        def taps(x, kernel):
+            maps.append(x)
+            return real_taps(x, kernel)
+
+        monkeypatch.setattr(model, "_conv_taps", taps)
+        forward_infer(image, grid, params, settings, mode="patch")
+        out, _ = forward_train(image, labels, grid, params, settings)
+        # the last `_conv_taps` call is the global half's
+        assert maps[-1].shape == out.x_glb.shape
+        assert np.array_equal(maps[-1], out.x_glb.data)
 
     def test_patch_transient_flat_in_image_size(self):
         transients = []
