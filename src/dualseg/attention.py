@@ -3,12 +3,14 @@
 Tokens are rows of a [n, d] matrix; a TokenSeq remembers which spatial
 grid they were flattened from (row-major) so attention masks can be
 built geometrically. Each attention call is one fused autodiff op,
-`autodiff.sdpa`, which scales, masks and softmaxes the scores in place,
-one block of query rows at a time. Taped, it keeps the whole [n_q, n_k]
-probability matrix for backward; untaped, it reuses one block of at most
+`autodiff.sdpa`, which scores scaled queries and exponentiates the
+scores in place, one block of query rows at a time, and normalises the
+output rows. Taped, it keeps the whole [n_q, n_k] probability matrix for
+backward; untaped, it reuses one block of at most
 `autodiff.SDPA_BLOCK_ROWS` rows. The allocation ledger counts that one
-buffer per call. Masking replaces disallowed
-scores with a large negative constant before the softmax, so a
+buffer per call. A mask that is one row shared by every query drops the
+disallowed keys before scoring; a full mask replaces disallowed scores
+with a large negative constant before the softmax. Either way a
 fully-allowed mask leaves the result bit-identical to running without
 one, and rows stay normalised over the allowed keys. A mask row that
 allows no keys would make the softmax meaningless, so that is rejected

@@ -8,12 +8,14 @@ order, accumulating `.grad` arrays on every tracked tensor. A tape is
 single-use: backward on a consumed tape raises.
 
 Most ops are single numpy primitives. Attention is one fused op, `sdpa`,
-that scores, masks and softmaxes blocks of query rows in place. When the
-op is taped the blocks are slices of the whole probability matrix, which
-backward reads; otherwise one block-sized buffer is reused, so untaped
-attention holds at most SDPA_BLOCK_ROWS rows of scores. A call that fits
-in one block is bit-identical to the chain of primitive ops it stands
-for; longer calls agree with it to rounding.
+that scores blocks of pre-scaled query rows against the kept keys,
+exponentiates them in place and divides the output rows, not the
+scores, by the row sums. When the op is taped one block holds the whole
+probability matrix, which backward reads; otherwise one block-sized
+buffer is reused, so untaped attention holds at most SDPA_BLOCK_ROWS
+rows of scores. Taped and untaped calls give the same output bit for
+bit; both agree with the chain of primitive ops it stands for to
+rounding.
 
 The spatial resamples, `bilinear_resize` and `avg_pool2d`, are linear
 and separable: each is out = My · x · Mxᵀ per channel, over memoised,
@@ -42,8 +44,10 @@ from .memory import LEDGER
 MASKED_SCORE = -1e9
 
 # Query rows per block of sdpa's forward when no backward needs the whole
-# probability matrix; a row count, so the block still grows with n_k.
-SDPA_BLOCK_ROWS = 256
+# probability matrix; a row count, so the block still grows with n_k. At
+# 64 rows the 2304-key block of whole-image inference is 1.2 MB, small
+# enough to stay in a 2 MB per-core L2 between its passes.
+SDPA_BLOCK_ROWS = 64
 
 
 class Tensor:
@@ -417,66 +421,88 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor,
 
     q [n_q, d], k [n_k, d], v [n_k, d_v]; `keep` is boolean [n_q, n_k] or
     a broadcast row [1, n_k] that allows at least one key per row (as
-    attention.AttentionMask ensures). Scores where it is False become
-    MASKED_SCORE, whose probability underflows to exactly 0, so their
-    gradient is 0 too. The forward pass walks blocks of at most
-    SDPA_BLOCK_ROWS query rows; each row sees all its keys, so the
-    softmax is exact. A block is scored, scaled, masked and softmaxed in
-    place in a buffer that a Tensor owns, then multiplied into its rows
-    of the output. When the op is taped the blocks are slices of one
-    [n_q, n_k] matrix, which backward keeps as the probabilities p;
-    otherwise one [min(n_q, SDPA_BLOCK_ROWS), n_k] buffer is reused for
-    every block. The ledger counts that one buffer either way. Every
-    expression, forward and backward, is that of the op chain transpose,
-    matmul, scale, masked_fill, softmax_rows, matmul, so a call with
-    n_q <= SDPA_BLOCK_ROWS is bit-identical to it; with more rows, the
-    per-block matmuls may round differently.
+    attention.AttentionMask ensures). A row `keep` gathers the kept rows
+    of k and v once, and only those are scored; backward scatters their
+    gradients back, so dropped keys get exactly zero. A full `keep` sets
+    the scores where it is False to MASKED_SCORE, whose probability
+    underflows to exactly 0, so their gradient is 0 too.
+
+    The queries are scaled by 1/sqrt(d) before scoring. Each block of
+    query rows is scored into a buffer that a Tensor owns, and turned
+    in place into e = exp(s - rowmax); the output rows are (e v) / z
+    with z the row sums of e, so no pass divides the scores. Each row
+    sees all its keys, so the softmax is exact, and a row's arithmetic
+    does not depend on the block it falls in. Untaped, blocks of at most
+    SDPA_BLOCK_ROWS rows reuse one buffer; taped, one block holds all
+    rows, and e is divided by z in place to keep the probabilities p
+    that backward reads. The ledger counts that one buffer either way.
+    The result agrees with the op chain transpose, matmul, scale,
+    masked_fill, softmax_rows, matmul to rounding, not bitwise.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1] \
             or k.shape[0] != v.shape[0]:
         raise DimensionError(
             f"sdpa: incompatible q {tuple(q.shape)}, k {tuple(k.shape)}, "
             f"v {tuple(v.shape)}")
+    n_q, n_k = q.shape[0], k.shape[0]
+    kept = None  # indices of the keys a row `keep` allows
     if keep is not None:
         keep = np.asarray(keep, dtype=bool)
-        if keep.ndim != 2 or keep.shape[1] != k.shape[0] \
-                or keep.shape[0] not in (1, q.shape[0]):
+        if keep.ndim != 2 or keep.shape[1] != n_k \
+                or keep.shape[0] not in (1, n_q):
             raise DimensionError(
                 f"sdpa: keep {keep.shape} does not broadcast over "
-                f"{q.shape[0]} queries x {k.shape[0]} keys")
-    n_q, n_k = q.shape[0], k.shape[0]
+                f"{n_q} queries x {n_k} keys")
+        if keep.shape[0] == 1:
+            kept = np.flatnonzero(keep[0])
+            if kept.size == 0:
+                raise DimensionError("sdpa: keep allows no key")
+            keep = None
+    k_s, v_s = (k.data, v.data) if kept is None else (k.data[kept], v.data[kept])
     c = 1.0 / math.sqrt(q.shape[1])
-    kt = np.ascontiguousarray(k.data.T)
+    qc = q.data * c
+    kt = np.ascontiguousarray(k_s.T)
     # backward reads all of p; untaped, one block's rows are reused
     taped = _recording((q, k, v))
-    p = Tensor(np.empty((n_q if taped else min(n_q, SDPA_BLOCK_ROWS), n_k)))
+    block = max(n_q, 1) if taped else SDPA_BLOCK_ROWS
+    p = Tensor(np.empty((min(n_q, block), kt.shape[1])))
     out = Tensor(np.empty((n_q, v.shape[1])))
-    for r0 in range(0, n_q, SDPA_BLOCK_ROWS):
-        r1 = min(r0 + SDPA_BLOCK_ROWS, n_q)
-        s = p.data[r0:r1] if taped else p.data[:r1 - r0]
-        np.matmul(q.data[r0:r1], kt, out=s)
-        s *= c
+    for r0 in range(0, n_q, block):
+        r1 = min(r0 + block, n_q)
+        s = p.data[:r1 - r0]
+        np.matmul(qc[r0:r1], kt, out=s)
         if keep is not None:
-            rows = keep if keep.shape[0] == 1 else keep[r0:r1]
-            np.copyto(s, MASKED_SCORE, where=~rows)
+            np.copyto(s, MASKED_SCORE, where=~keep[r0:r1])
         s -= s.max(axis=1, keepdims=True)
         np.exp(s, out=s)
-        s /= s.sum(axis=1, keepdims=True)
-        np.matmul(s, v.data, out=out.data[r0:r1])
+        z = s.sum(axis=1, keepdims=True)
+        rows = out.data[r0:r1]
+        np.matmul(s, v_s, out=rows)
+        rows /= z
+        if taped:
+            s /= z
+
+    def scatter(g_s):
+        """Key-row gradients of the kept keys, zero rows elsewhere."""
+        if kept is None:
+            return g_s
+        g = np.zeros((n_k, g_s.shape[1]))
+        g[kept] = g_s
+        return g
 
     def bw(g):
         if v.requires_grad:
-            v.accumulate_grad(p.data.T @ g)
+            v.accumulate_grad(scatter(p.data.T @ g))
         if not (q.requires_grad or k.requires_grad):
             return
-        gp = g @ v.data.T
+        gp = g @ v_s.T
         gp -= (gp * p.data).sum(axis=1, keepdims=True)
         gp *= p.data
         gp *= c
         if q.requires_grad:
             q.accumulate_grad(gp @ kt.T)
         if k.requires_grad:
-            k.accumulate_grad((q.data.T @ gp).T)
+            k.accumulate_grad(scatter((q.data.T @ gp).T))
 
     return _maybe_record((q, k, v), out, bw)
 

@@ -358,8 +358,8 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
     h, w = image.shape[1:]
     labels = _check_labels(labels, params.num_classes, (h, w))
 
-    img_t = Tensor(image)
-    glb = _global_branch(img_t, params, settings)
+    # the image tensor dies with the global branch's downsample
+    glb = _global_branch(Tensor(image), params, settings)
     loc_maps_up: list[Tensor] = []
     head_l_k, head_l_b = params.head("l")
     for i in range(grid.n_tiles):

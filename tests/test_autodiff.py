@@ -380,6 +380,13 @@ def sdpa_chain(q, k, v, keep=None):
     return ad.matmul(ad.softmax_rows(s), v)
 
 
+def assert_near_chain(got, want):
+    """sdpa against its op chain: it scales the queries and divides the
+    output rows, so it agrees to rounding, 1e-12 of the largest value."""
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
+
+
 def _sdpa_masks(n_q, n_k):
     rng = np.random.default_rng(12)
     row = rng.random((1, n_k)) < 0.5
@@ -393,6 +400,15 @@ def _sdpa_masks(n_q, n_k):
 SDPA_MASKS = _sdpa_masks(5, 7)
 
 
+def _sdpa_grads(fn, arrays, keep, w):
+    """fn's output and the gradients of sum(out * w) on q, k and v."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    with GradTape() as tape:
+        out = fn(*tensors, keep)
+        tape.backward(ad.sum_all(ad.mul(out, Tensor(w))))
+    return out.data, [t.grad for t in tensors]
+
+
 class TestSdpa:
     def _qkv(self, seed=5):
         rng = np.random.default_rng(seed)
@@ -400,12 +416,8 @@ class TestSdpa:
                 rng.standard_normal((7, 4)))
 
     def _run(self, fn, arrays, keep):
-        tensors = [Tensor(a, requires_grad=True) for a in arrays]
-        w = Tensor(np.random.default_rng(9).random((5, 4)) + 0.5)
-        with GradTape() as tape:
-            out = fn(*tensors, keep)
-            tape.backward(ad.sum_all(ad.mul(out, w)))
-        return out.data, [t.grad for t in tensors]
+        w = np.random.default_rng(9).random((5, 4)) + 0.5
+        return _sdpa_grads(fn, arrays, keep, w)
 
     @pytest.mark.parametrize("mask", sorted(SDPA_MASKS))
     def test_bitwise_equal_to_op_chain(self, mask):
@@ -413,17 +425,19 @@ class TestSdpa:
         arrays = self._qkv()
         got, got_grads = self._run(ad.sdpa, arrays, keep)
         want, want_grads = self._run(sdpa_chain, arrays, keep)
-        assert got.tobytes() == want.tobytes()
+        assert_near_chain(got, want)
         for g, w in zip(got_grads, want_grads):
-            assert g.tobytes() == w.tobytes()
+            assert_near_chain(g, w)
 
     def test_all_allowed_mask_equals_no_mask(self):
+        # a full mask of True, and a row mask that keeps every key
         arrays = self._qkv()
         plain, plain_grads = self._run(ad.sdpa, arrays, None)
-        full, full_grads = self._run(ad.sdpa, arrays, SDPA_MASKS["all_allowed"])
-        assert plain.tobytes() == full.tobytes()
-        for g, w in zip(plain_grads, full_grads):
-            assert g.tobytes() == w.tobytes()
+        for keep in (SDPA_MASKS["all_allowed"], np.ones((1, 7), dtype=bool)):
+            full, full_grads = self._run(ad.sdpa, arrays, keep)
+            assert plain.tobytes() == full.tobytes()
+            for g, w in zip(plain_grads, full_grads):
+                assert g.tobytes() == w.tobytes()
 
     def test_masked_keys_get_no_weight(self):
         q, k, v = self._qkv()
@@ -433,6 +447,18 @@ class TestSdpa:
         scores = q @ k[kept].T / math.sqrt(3)
         np.testing.assert_allclose(out, softmax_oracle(scores) @ v[kept],
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("mask", ["row", "full"])
+    def test_dropped_keys_get_zero_gradient(self, mask):
+        keep = SDPA_MASKS[mask]
+        if mask == "full":
+            keep = keep.copy()
+            keep[:, 0] = False
+        dropped = ~keep.any(axis=0)
+        assert dropped.any() and not dropped.all()
+        _, (_, gk, gv) = self._run(ad.sdpa, self._qkv(), keep)
+        assert not gk[dropped].any() and not gv[dropped].any()
+        assert gk[~dropped].any() and gv[~dropped].any()
 
     @pytest.mark.parametrize("mask", ["none", "row", "full"])
     def test_backward_matches_differences(self, mask):
@@ -448,7 +474,7 @@ class TestSdpa:
         for t, fn in ((got, ad.sdpa), (want, sdpa_chain)):
             with GradTape() as tape:
                 tape.backward(ad.sum_all(fn(t, t, t)))
-        assert got.grad.tobytes() == want.grad.tobytes()
+        assert_near_chain(got.grad, want.grad)
 
     def test_one_tape_record(self):
         q, k, v = (Tensor(a, requires_grad=True) for a in self._qkv())
@@ -463,8 +489,8 @@ class TestSdpa:
         q, k, v = (Tensor(rng.standard_normal(s))
                    for s in ((n_q, 3), (n_k, 3), (n_k, 4)))
         keep = _sdpa_masks(n_q, n_k)[mask]
-        got = ad.sdpa(q, k, v, keep).data
-        assert got.tobytes() == sdpa_chain(q, k, v, keep).data.tobytes()
+        assert_near_chain(ad.sdpa(q, k, v, keep).data,
+                          sdpa_chain(q, k, v, keep).data)
 
     @pytest.mark.parametrize("mask", ["none", "row", "full"])
     def test_streamed_blocks_match_op_chain(self, mask):
@@ -479,15 +505,34 @@ class TestSdpa:
         np.testing.assert_allclose(untaped, want, rtol=0, atol=1e-12)
 
         w = rng.random((n_q, 4)) + 0.5
-        results = []
-        for fn in (ad.sdpa, sdpa_chain):
-            tensors = [Tensor(a, requires_grad=True) for a in arrays]
-            with GradTape() as tape:
-                out = fn(*tensors, keep)
-                tape.backward(ad.sum_all(ad.mul(out, Tensor(w))))
-            results.append([out.data] + [t.grad for t in tensors])
-        for got, want in zip(*results):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        results = [_sdpa_grads(fn, arrays, keep, w)
+                   for fn in (ad.sdpa, sdpa_chain)]
+        (got, got_grads), (want, want_grads) = results
+        for g, w in zip([got] + got_grads, [want] + want_grads):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+        # a row's arithmetic does not depend on its block
+        assert untaped.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("n_q, n_k, d, masked", [
+        (2304, 2304, 16, False),   # whole-image local self-attention
+        (256, 64, 16, True),       # a tile's local queries on global keys
+    ])
+    def test_matches_op_chain_at_workload_shapes(self, n_q, n_k, d, masked):
+        rng = np.random.default_rng(15)
+        arrays = (rng.standard_normal((n_q, d)), rng.standard_normal((n_k, d)),
+                  rng.standard_normal((n_k, d)))
+        keep = None
+        if masked:
+            keep = np.zeros((1, n_k), dtype=bool)
+            keep[0, rng.choice(n_k, 16, replace=False)] = True
+        assert_near_chain(ad.sdpa(*(Tensor(a) for a in arrays), keep).data,
+                          sdpa_chain(*(Tensor(a) for a in arrays), keep).data)
+        if masked:
+            w = rng.random((n_q, d)) + 0.5
+            got = _sdpa_grads(ad.sdpa, arrays, keep, w)
+            want = _sdpa_grads(sdpa_chain, arrays, keep, w)
+            for g, w in zip([got[0]] + got[1], [want[0]] + want[1]):
+                assert_near_chain(g, w)
 
     def test_rejects_bad_shapes(self):
         q, k, v = (Tensor(a) for a in self._qkv())
@@ -499,6 +544,8 @@ class TestSdpa:
             ad.sdpa(q, k, v, np.ones((2, 7), dtype=bool))
         with pytest.raises(DimensionError, match="sdpa: keep"):
             ad.sdpa(q, k, v, np.ones((1, 6), dtype=bool))
+        with pytest.raises(DimensionError, match="sdpa: keep allows no key"):
+            ad.sdpa(q, k, v, np.zeros((1, 7), dtype=bool))
 
 
 class TestConv2d:

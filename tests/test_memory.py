@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import dualseg.autodiff as ad
+import dualseg.model as model
 from dualseg.autodiff import Tensor
 from dualseg.harness.config import RunConfig
 from dualseg.memory import LEDGER, AllocationLedger
 from dualseg.model import ModelParams, forward_infer
+from dualseg.tiling import plan_grid
 
 # Each allocating op on fixed inputs. The input tensors die with the call;
 # the output must own its buffer, or the ledger (which counts only arrays
@@ -148,6 +150,33 @@ class TestTensorWiring:
         n_tokens = (120 // cfg.backbone().stride(skip_last_pool=True)) ** 2
         assert n_tokens == 3600
         assert report["transient_bytes"] < n_tokens ** 2 * 8 / 4
+
+    def test_training_pass_frees_the_image_before_the_tiles(self, monkeypatch):
+        cfg = RunConfig().validate()
+        params = ModelParams(cfg.backbone(), cfg.num_classes,
+                             rng=np.random.default_rng(0))
+        rng = np.random.default_rng(3)
+        image = rng.random((3, 32, 32))
+        labels = rng.integers(0, cfg.num_classes, (32, 32))
+        live: dict = {}
+        global_branch, tile_forward = model._global_branch, model._tile_forward
+
+        def spy_global(*args):
+            glb = global_branch(*args)
+            live["global_done"] = LEDGER.current_bytes
+            return glb
+
+        def spy_tile(*args):
+            live.setdefault("first_tile", LEDGER.current_bytes)
+            return tile_forward(*args)
+
+        monkeypatch.setattr(model, "_global_branch", spy_global)
+        monkeypatch.setattr(model, "_tile_forward", spy_tile)
+        with ad.GradTape():
+            model.forward_train(image, labels, plan_grid(32, 32, 16, 0),
+                                params, cfg.settings())
+        # nothing is allocated in between; the image tensor is freed
+        assert live["global_done"] - live["first_tile"] == image.nbytes
 
     def test_reshape_adds_nothing(self):
         x = Tensor(MAP)
