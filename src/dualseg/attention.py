@@ -51,10 +51,6 @@ class TokenSeq:
                 f"a {h}x{w} grid")
 
     @property
-    def n(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
     def d(self) -> int:
         return self.tokens.shape[1]
 

@@ -4,8 +4,11 @@ A Tensor wraps a numpy array, float64 throughout. Differentiable
 operations are plain functions; when a GradTape is active and an input
 tracks gradients, the operation appends a record to the tape.
 `GradTape.backward` replays the records in exact reverse execution
-order, accumulating `.grad` arrays on every tracked tensor. A tape is
-single-use: backward on a consumed tape raises.
+order, accumulating `.grad` arrays on every tracked tensor. It releases
+each record, with the arrays its closure saved, and each non-leaf
+`.grad` once it has read them, so after backward only the leaves (the
+tensors no op produced) keep a gradient. A tape is single-use: backward
+on a consumed tape raises.
 
 Most ops are single numpy primitives. Attention is one fused op, `sdpa`,
 that scores blocks of pre-scaled query rows against the kept keys,
@@ -29,9 +32,9 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
-import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -49,11 +52,28 @@ MASKED_SCORE = -1e9
 # enough to stay in a 2 MB per-core L2 between its passes.
 SDPA_BLOCK_ROWS = 64
 
+# Backward frees each record's arrays as it replays it, newest first, so
+# the freed memory sits at the top of the heap, which glibc by default
+# hands back to the kernel at once; the next allocations then fault it
+# back in page by page (~3500 faults and ~10 ms of system time per 64 px
+# training step on a 2-vCPU x86 VM). A fixed mmap threshold, at glibc's
+# dynamic maximum, and a 64 MB trim threshold keep that memory for
+# reuse. Where libc has no mallopt, the allocator is left as it is.
+try:
+    ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    ctypes.CDLL(None).mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+except (AttributeError, OSError):
+    pass
+
 
 class Tensor:
     """Dense n-dimensional array, row-major, optionally gradient-tracked."""
 
+    __slots__ = ("_owned_bytes", "data", "requires_grad", "grad")
+
     def __init__(self, data, requires_grad: bool = False):
+        # set first: __del__ runs even when the conversion below raises
+        self._owned_bytes = 0
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
@@ -62,9 +82,11 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         # Only buffers we own count toward the ledger; views count zero.
         if arr.base is None:
-            nbytes = arr.nbytes
-            LEDGER.on_alloc(nbytes)
-            weakref.finalize(self, LEDGER.on_free, nbytes)
+            self._owned_bytes = arr.nbytes
+            LEDGER.on_alloc(arr.nbytes)
+
+    def __del__(self):
+        LEDGER.on_free(self._owned_bytes)
 
     @property
     def shape(self):
@@ -117,24 +139,17 @@ def init_uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     return Tensor(rng.uniform(-s, s, size=shape), requires_grad=True)
 
 
-class _Record:
-    __slots__ = ("output", "backward_fn")
-
-    def __init__(self, output: Tensor, backward_fn: Callable[[np.ndarray], None]):
-        self.output = output
-        self.backward_fn = backward_fn
-
-
 class GradTape:
     """Ordered record of executed differentiable operations.
 
     Use as a context manager around the forward pass, then call
     `backward(loss)` once. Records replay in exact reverse execution
-    order; a second backward raises UsageError.
+    order, and each is dropped, with its output's `.grad`, once it has
+    run; a second backward raises UsageError.
     """
 
     def __init__(self):
-        self._records: list[_Record] = []
+        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._consumed = False
 
     def __enter__(self) -> "GradTape":
@@ -150,21 +165,22 @@ class GradTape:
         return False
 
     def record(self, output: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
-        self._records.append(_Record(output, backward_fn))
+        self._records.append((output, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Populate `.grad` on every tensor reachable from `loss`."""
+        """Populate `.grad` on every leaf reachable from `loss`."""
         if self._consumed:
             raise UsageError("tape already consumed; rebuild the forward pass")
         if loss.data.size != 1:
             raise UsageError(f"backward needs a scalar loss, got shape {tuple(loss.shape)}")
         self._consumed = True
         loss.grad = np.ones_like(loss.data)
-        for rec in reversed(self._records):
-            g = rec.output.grad
-            if g is None:
-                continue
-            rec.backward_fn(g)
+        records = self._records
+        while records:
+            output, backward_fn = records.pop()
+            g, output.grad = output.grad, None
+            if g is not None:
+                backward_fn(g)
 
 
 _ACTIVE_TAPE: Optional[GradTape] = None

@@ -67,8 +67,9 @@ class RunConfig:
             bad("overlap", f"must satisfy 0 <= overlap < patch, got {self.overlap}")
         if self.global_size < 1:
             bad("global_size", f"must be >= 1, got {self.global_size}")
-        if self.num_classes < 1:
-            bad("num_classes", f"must be >= 1, got {self.num_classes}")
+        # label maps and predictions are 8-bit, with 255 kept for ignore
+        if not 1 <= self.num_classes <= 255:
+            bad("num_classes", f"must lie in 1..255, got {self.num_classes}")
         if len(self.stage_channels) < 1:
             bad("stage_channels", "need at least one stage")
         if any(c < 1 for c in self.stage_channels):

@@ -1,7 +1,7 @@
 """Live-byte accounting for tensor payloads.
 
 Every Tensor that owns its buffer reports its payload size here on
-creation, and again (via a weakref finalizer) when it is collected.
+creation, and again (in `Tensor.__del__`) when it is collected.
 CPython's refcounting frees non-cyclic tensors deterministically, so
 `current_bytes` tracks live payload bytes closely and `peak_bytes` is a
 faithful high-water mark for serial code.

@@ -56,6 +56,11 @@ from .tiling import (StitchAccumulator, TileGrid, extract_patch, plan_grid,
 
 IN_CHANNELS = 3
 
+# Most tokens one inference tile may hold. Self-attention scores a block of
+# rows against all of them, so the cap bounds what one tile allocates; a
+# global-mode call on a large image would otherwise ask for gigabytes.
+MAX_TILE_TOKENS = 2 ** 16
+
 
 # ---------------------------------------------------------------------------
 # configuration and parameters
@@ -458,7 +463,9 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
 
     Patch mode walks the provided grid; global mode treats the whole
     image as a single tile at full resolution (the tile is padded up to a
-    stride multiple when needed). Each tile's local branch runs once, since
+    stride multiple when needed). A tile of more than MAX_TILE_TOKENS
+    tokens is refused before anything is allocated. Each tile's local
+    branch runs once, since
     conv(concat[G, L], K) + b = conv(G, K[:, :d]) + conv(L, K[:, d:]) + b,
     and `_resized_conv` gives each half without resizing its map. With
     `mem_report`, the ledger's peak is reset once the full-size
@@ -469,8 +476,8 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
     image = _checked_image(image, grid if mode == "patch" else None,
                            "forward_infer")
     h, w = image.shape[1:]
+    stride = params.backbone.stride(skip_last_pool=True)
     if mode == "global":
-        stride = params.backbone.stride(skip_last_pool=True)
         side = max(h, w)
         side = ((side + stride - 1) // stride) * stride
         grid = plan_grid(h, w, side, 0)
@@ -478,6 +485,11 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
         raise UsageError(f"forward_infer: unknown mode {mode!r}")
     elif grid is None:
         raise UsageError("forward_infer: patch mode needs a tile grid")
+    tokens = (grid.patch // stride) ** 2
+    if tokens > MAX_TILE_TOKENS:
+        raise DimensionError(
+            f"forward_infer: a {grid.patch} px tile has {tokens} tokens, more "
+            f"than {MAX_TILE_TOKENS}; use patch mode with a smaller patch")
 
     img_t = Tensor(image)
     acc = StitchAccumulator(params.num_classes, grid)

@@ -1,7 +1,9 @@
 """Tensor core: forward values against loop oracles, backwards against
 central differences computed independently of the library's own checker."""
 
+import gc
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import dualseg.autodiff as ad
 from dualseg import model
 from dualseg.autodiff import GradTape, Tensor
 from dualseg.errors import DimensionError, UsageError
+from dualseg.memory import LEDGER
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +193,23 @@ def assert_grads_match(build, arrays, rtol=1e-5, atol=1e-7):
         np.testing.assert_allclose(a, n, rtol=rtol, atol=atol)
 
 
+def spy_grads(tape):
+    """Spy on `tape`: keep each gradient its records read during
+    backward, which backward itself would release. Returns read(t), the
+    gradient that t's record read."""
+    seen = []
+    record = tape.record
+
+    def spy(output, backward_fn):
+        def bw(g):
+            seen.append((output, g))
+            backward_fn(g)
+        record(output, bw)
+
+    tape.record = spy
+    return lambda t: next(g for out, g in seen if out is t)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -221,13 +241,14 @@ class TestTapeSemantics:
     def test_reused_input_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
         with GradTape() as tape:
+            read = spy_grads(tape)
             y = x + x
             loss = ad.sum_all(y)
             tape.backward(loss)
         np.testing.assert_array_equal(x.grad, [2.0])
         # add hands one g to both inputs; the stored grad must be a copy
-        np.testing.assert_array_equal(y.grad, [1.0])
-        assert not np.shares_memory(x.grad, y.grad)
+        np.testing.assert_array_equal(read(y), [1.0])
+        assert not np.shares_memory(x.grad, read(y))
 
     def test_first_grad_from_transposed_view(self):
         rng = np.random.default_rng(23)
@@ -235,11 +256,12 @@ class TestTapeSemantics:
         w = rng.standard_normal((5, 3))
         x = Tensor(a, requires_grad=True)
         with GradTape() as tape:
+            read = spy_grads(tape)
             y = ad.transpose(x)
             tape.backward(ad.sum_all(ad.mul(y, Tensor(w))))
         np.testing.assert_array_equal(x.grad, w.T)
         assert x.grad.flags["C_CONTIGUOUS"]
-        assert not np.shares_memory(x.grad, y.grad)
+        assert not np.shares_memory(x.grad, read(y))
 
     def test_concat_parts_own_their_grads(self):
         rng = np.random.default_rng(24)
@@ -247,12 +269,13 @@ class TestTapeSemantics:
         w = rng.standard_normal((3, 3, 4))
         ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
         with GradTape() as tape:
+            read = spy_grads(tape)
             y = ad.concat_channels([ta, tb])
             tape.backward(ad.sum_all(ad.mul(y, Tensor(w))))
         np.testing.assert_array_equal(ta.grad, w[:2])
         np.testing.assert_array_equal(tb.grad, w[2:])
-        assert not np.shares_memory(ta.grad, y.grad)
-        assert not np.shares_memory(tb.grad, y.grad)
+        assert not np.shares_memory(ta.grad, read(y))
+        assert not np.shares_memory(tb.grad, read(y))
 
     def test_later_accumulation_leaves_earlier_grads_alone(self):
         # backward replays add first: a and b both get its g. Then mul adds
@@ -261,13 +284,14 @@ class TestTapeSemantics:
         b = Tensor([5.0, 7.0], requires_grad=True)
         c = Tensor([10.0, 20.0])
         with GradTape() as tape:
+            read = spy_grads(tape)
             m = ad.mul(a, c)
             z = ad.add(a, b)
             tape.backward(ad.add(ad.sum_all(m), ad.sum_all(z)))
         np.testing.assert_array_equal(a.grad, [11.0, 21.0])
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
-        np.testing.assert_array_equal(z.grad, [1.0, 1.0])
-        z.grad += 100.0
+        np.testing.assert_array_equal(read(z), [1.0, 1.0])
+        read(z)[...] += 100.0
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
     def test_diamond_graph(self):
@@ -279,12 +303,53 @@ class TestTapeSemantics:
         np.testing.assert_allclose(x.grad, 4.0 * x.data)
 
     def test_second_backward_rejected(self):
-        x = Tensor([1.0], requires_grad=True)
+        x = Tensor([1.0, 2.0], requires_grad=True)
         with GradTape() as tape:
-            loss = ad.sum_all(x)
+            y = ad.relu(x)
+            loss = ad.sum_all(ad.mul(y, y))
             tape.backward(loss)
+        # a consumed tape holds nothing; only the leaf keeps its grad
+        assert tape._records == []
+        assert y.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
         with pytest.raises(UsageError):
             tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_ledger_falls_while_backward_runs(self):
+        x = Tensor(np.ones((32, 32)), requires_grad=True)
+        live = []
+        gc.collect()
+        gc.disable()  # only backward may free tensors here
+        try:
+            with GradTape() as tape:
+                record = tape.record
+                # reads the ledger as each record starts, holding no tensor
+                tape.record = lambda out, bw: record(
+                    out, lambda g: (live.append(LEDGER.current_bytes), bw(g)))
+                h = x
+                for _ in range(4):
+                    h = ad.relu(h)
+                loss = ad.sum_all(h)
+                del h
+                tape.backward(loss)
+        finally:
+            gc.enable()
+        # each record run frees one 8 KB relu output, the last only on return
+        assert len(live) == 5
+        assert all(b - a == -x.data.nbytes for a, b in zip(live[1:], live[2:]))
+        assert LEDGER.current_bytes == live[-1] - x.data.nbytes
+
+    def test_failed_construction_frees_nothing(self, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        gc.collect()
+        before = LEDGER.current_bytes
+        with pytest.raises(ValueError):
+            Tensor("abc")
+        gc.collect()
+        assert unraisable == []
+        assert LEDGER.current_bytes == before
 
     def test_backward_needs_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

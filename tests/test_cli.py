@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from dualseg import cli
+from dualseg import cli, model
 from dualseg.cli import main
 from dualseg.harness.checkpoint import load_checkpoint
 from dualseg.harness.config import RunConfig
@@ -182,6 +182,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"'{key}'" in err
         assert not (tmp_path / "pred").exists()
+
+    def test_checkpoint_with_too_many_classes_is_2(self, workspace, tmp_path,
+                                                   capsys):
+        # predictions are written as 8-bit gray with 255 kept for ignore
+        doc = json.loads((workspace / "run/ckpt.json").read_text())
+        doc["config"]["num_classes"] = 300
+        ckpt = tmp_path / "classes.json"
+        ckpt.write_text(json.dumps(doc))
+        assert main(["infer", "--ckpt", str(ckpt),
+                     "--image", str(workspace / "data/val/scene_0000.ppm"),
+                     "--out", str(tmp_path / "pred")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'num_classes'" in err
+        assert not (tmp_path / "pred").exists()
+
+    def test_global_tile_above_token_cap_is_3(self, workspace, tmp_path,
+                                              capsys, monkeypatch):
+        # the 64 px scene is one 1024-token tile in global mode
+        monkeypatch.setattr(model, "MAX_TILE_TOKENS", 1023)
+        assert main(["infer", "--ckpt", str(workspace / "run/ckpt.json"),
+                     "--image", str(workspace / "data/val/scene_0000.ppm"),
+                     "--mode", "global", "--out", str(tmp_path / "pred")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "1024 tokens, more than 1023; use patch mode" in captured.err
 
     def test_unknown_config_key_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -97,7 +97,8 @@ class TestValidation:
                           ("lr_global = nan\n", "lr_global"),
                           ("lr_local = inf\n", "lr_local"),
                           ("focal_gamma = nan\n", "focal_gamma"),
-                          ("coupling_lambda = inf\n", "coupling_lambda")]:
+                          ("coupling_lambda = inf\n", "coupling_lambda"),
+                          ("num_classes = 256\n", "num_classes")]:
             with pytest.raises(ConfigError, match=key):
                 parse_config_text(text)
 

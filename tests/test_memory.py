@@ -2,6 +2,8 @@
 
 import contextlib
 import gc
+import platform
+import resource
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import dualseg.autodiff as ad
 import dualseg.model as model
 from dualseg.autodiff import Tensor
-from dualseg.harness.config import RunConfig
+from dualseg.harness.config import RunConfig, preset_convergence
 from dualseg.memory import LEDGER, AllocationLedger
 from dualseg.model import ModelParams, forward_infer
 from dualseg.tiling import plan_grid
@@ -177,6 +179,32 @@ class TestTensorWiring:
                                 params, cfg.settings())
         # nothing is allocated in between; the image tensor is freed
         assert live["global_done"] - live["first_tile"] == image.nbytes
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap is kept through glibc's mallopt")
+    def test_training_step_reuses_the_memory_backward_frees(self):
+        # backward frees the newest arrays first; were the heap top trimmed
+        # at once, every 64 px step would fault ~3500 pages back in
+        cfg = preset_convergence()
+        params = ModelParams(cfg.backbone(), cfg.num_classes,
+                             rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        image = rng.random((3, 64, 64))
+        labels = rng.integers(0, cfg.num_classes, (64, 64))
+        grid = plan_grid(64, 64, cfg.patch, cfg.overlap)
+        faults = []
+        for _ in range(4):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            with ad.GradTape() as tape:
+                _, bd = model.forward_train(image, labels, grid, params,
+                                            cfg.settings())
+            tape.backward(bd.total_tensor)
+            del tape, bd
+            for p in params.named().values():
+                p.grad = None
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                          - before)
+        assert max(faults[1:]) < 500, faults
 
     def test_reshape_adds_nothing(self):
         x = Tensor(MAP)

@@ -14,6 +14,7 @@ import dualseg.autodiff as ad
 import dualseg.model as model
 from dualseg.autodiff import GradTape, Tensor
 from dualseg.errors import DataError, DimensionError, UsageError
+from dualseg.memory import LEDGER
 from dualseg.harness.config import preset_convergence
 from dualseg.model import (
     Adam,
@@ -608,6 +609,26 @@ class TestForwardInfer:
                       settings, mode=mode)
         assert resizes == [(settings.global_size, settings.global_size)]
         assert convs and all(convs)
+
+    def test_tile_tokens_are_capped_before_building(self, monkeypatch):
+        params, image, _, grid, settings = micro_setup()
+        # a zero-stride image: whole-image mode would make it 600 x 600
+        # at 90000 tokens, and the refusal must come before any copy
+        huge = np.broadcast_to(np.float64(0.5), (3, 600, 600))
+        peak = LEDGER.reset_peak()
+        with pytest.raises(DimensionError,
+                           match=r"has 90000 tokens, more than 65536; "
+                                 r"use patch mode"):
+            forward_infer(huge, None, params, settings, mode="global")
+        assert LEDGER.peak_bytes == peak
+        # an 8 px patch at stride 2 has 16 tokens
+        monkeypatch.setattr(model, "MAX_TILE_TOKENS", 16)
+        forward_infer(image, grid, params, settings)
+        monkeypatch.setattr(model, "MAX_TILE_TOKENS", 15)
+        for mode in ("patch", "global"):
+            with pytest.raises(DimensionError, match="more than 15"):
+                forward_infer(image, grid if mode == "patch" else None,
+                              params, settings, mode=mode)
 
     def test_mode_validation(self):
         params, image, _, grid, settings = micro_setup()
