@@ -24,8 +24,7 @@ from .errors import (CheckFailure, ConfigError, DataError, DimensionError,
                      InvalidMaskError, UsageError)
 from .harness import netpbm
 from .harness.checkpoint import load_checkpoint
-from .harness.config import (RunConfig, override_config, parse_config,
-                              parse_config_text)
+from .harness.config import RunConfig, override_config, parse_config
 from .harness.data import gen_data
 from .harness.train import (GRADCHECK_TOLERANCE, MICRO, ablate, bench_memory,
                             evaluate_dirs, predict, run_gradcheck, train_run)
@@ -57,12 +56,10 @@ def _in_range(flag: str, value: int, low: int,
 
 
 def _load_config(args) -> RunConfig:
-    overrides = {}
+    cfg = parse_config(args.config) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if args.config:
-        return parse_config(args.config, overrides)
-    return parse_config_text("", overrides)
+        cfg = dataclasses.replace(cfg, seed=args.seed).validate()
+    return cfg
 
 
 def _cmd_gen_data(args) -> int:

@@ -1,10 +1,13 @@
-"""JSON checkpoints: config + parameters + optimizer moments.
+"""JSON checkpoints, format 2: config + parameters + optimizer moments.
 
 JSON keeps the artifact diffable and dependency-free; Python's float
-repr round-trips doubles exactly, so save/load is lossless. Arrays are
-stored as shape + flat list in C order. Loading raises DataError on any
-document that does not follow that schema (a missing or mistyped section,
-an array without a shape, non-numeric data, a size mismatch, a
+repr round-trips doubles exactly, so save/load is lossless. The config
+is one string holding the `key = value` text a config file holds
+(`config_text`), read back by the config-file parser, so a bad value
+gets the ConfigError a config file would. Arrays are stored as shape +
+flat list in C order. Loading raises DataError on any document that does
+not follow that schema (another format version, a missing or mistyped
+section, an array without a shape, non-numeric data, a size mismatch, a
 non-finite value). Saving writes a temporary file next to the target and
 moves it into place with `os.replace`, so a write that fails midway
 leaves the previous checkpoint as it was.
@@ -21,9 +24,9 @@ import numpy as np
 from ..autodiff import Tensor
 from ..errors import DataError
 from ..model import Adam, ModelParams
-from .config import RunConfig, config_from_dict, config_to_dict
+from .config import RunConfig, config_text, parse_config_text
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _pack(arr: np.ndarray) -> dict:
@@ -71,7 +74,7 @@ def save_checkpoint(path, cfg: RunConfig, params: ModelParams,
                     opt: Adam | None = None) -> None:
     doc = {
         "version": FORMAT_VERSION,
-        "config": config_to_dict(cfg),
+        "config": config_text(cfg),
         "params": {name: _pack(t.data) for name, t in params.named().items()},
     }
     if opt is not None:
@@ -110,7 +113,9 @@ def load_checkpoint(path) -> tuple[RunConfig, ModelParams, dict | None]:
     for key in ("config", "params"):
         if key not in doc:
             raise DataError(f"{where} has no '{key}' section")
-    cfg = config_from_dict(_object(doc, "config", where))
+    if not isinstance(doc["config"], str):
+        raise DataError(f"{where}: 'config' is not config text")
+    cfg = parse_config_text(doc["config"])
     named = {name: Tensor(_unpack(name, raw), requires_grad=True)
              for name, raw in _object(doc, "params", where).items()}
     params = ModelParams.from_named(cfg.backbone(), cfg.num_classes, named)

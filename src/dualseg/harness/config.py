@@ -3,7 +3,9 @@
 Lines are `key = value`; blank lines and lines starting with # are
 skipped, as is anything after # on a value line. Unknown and duplicated
 keys are errors (they are almost always typos). List-valued keys take
-comma-separated items.
+comma-separated items. Checkpoints store their config in the same
+format, as `config_text` writes it, and read it back with
+`parse_config_text`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DimensionError
 from ..model import BackboneConfig, TrainSettings
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -61,60 +63,46 @@ class RunConfig:
         def bad(key, why):
             raise ConfigError(f"config key '{key}': {why}")
 
-        if self.patch < 1:
-            bad("patch", f"must be >= 1, got {self.patch}")
+        for key, low in (("patch", 1), ("global_size", 1), ("batch", 1),
+                         ("train_scenes", 1), ("val_scenes", 1),
+                         ("mask_dilation", 0), ("steps", 0), ("seed", 0),
+                         ("ckpt_every", 0), ("focal_gamma", 0),
+                         ("coupling_lambda", 0)):
+            if getattr(self, key) < low:
+                bad(key, f"must be >= {low}, got {getattr(self, key)}")
         if not 0 <= self.overlap < self.patch:
             bad("overlap", f"must satisfy 0 <= overlap < patch, got {self.overlap}")
-        if self.global_size < 1:
-            bad("global_size", f"must be >= 1, got {self.global_size}")
         # label maps and predictions are 8-bit, with 255 kept for ignore
         if not 1 <= self.num_classes <= 255:
             bad("num_classes", f"must lie in 1..255, got {self.num_classes}")
-        if len(self.stage_channels) < 1:
-            bad("stage_channels", "need at least one stage")
-        if any(c < 1 for c in self.stage_channels):
-            bad("stage_channels", f"channels must be >= 1, got {self.stage_channels}")
-        if len(self.downsample) != len(self.stage_channels):
-            bad("downsample", f"{len(self.downsample)} flags for "
-                f"{len(self.stage_channels)} stages")
-        if self.stage_channels[-1] != self.d_model:
-            bad("d_model", f"must equal the last stage width "
-                f"{self.stage_channels[-1]}, got {self.d_model}")
-        div_g = 2 ** sum(self.downsample)
+        # BackboneConfig owns the structural checks; a message that names
+        # neither d_model nor the downsample flags is about the stage widths
+        try:
+            backbone = self.backbone()
+        except DimensionError as exc:
+            bad(next((k for k in ("d_model", "downsample") if k in str(exc)),
+                     "stage_channels"), exc)
+        div_g = backbone.stride()
         if self.global_size % div_g:
             bad("global_size", f"must be divisible by {div_g} "
                 f"(one halving per pooled stage)")
-        div_l = self.backbone().stride(skip_last_pool=True)
+        div_l = backbone.stride(skip_last_pool=True)
         if self.patch % div_l:
             bad("patch", f"must be divisible by {div_l} "
                 f"(pooled stages, last one kept at full rate)")
-        if self.mask_dilation < 0:
-            bad("mask_dilation", f"must be >= 0, got {self.mask_dilation}")
         # float("nan") and float("inf") parse, and NaN passes every bound
         for key in ("focal_gamma", "coupling_lambda", "lr_global", "lr_local"):
             if not math.isfinite(getattr(self, key)):
                 bad(key, f"must be finite, got {getattr(self, key)}")
-        if self.focal_gamma < 0:
-            bad("focal_gamma", f"must be >= 0, got {self.focal_gamma}")
-        if self.coupling_lambda < 0:
-            bad("coupling_lambda", f"must be >= 0, got {self.coupling_lambda}")
         for key in ("lr_global", "lr_local"):
             if getattr(self, key) <= 0:
                 bad(key, f"must be > 0, got {getattr(self, key)}")
         for key in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 bad(key, f"must lie in [0, 1), got {getattr(self, key)}")
-        if self.batch < 1:
-            bad("batch", f"must be >= 1, got {self.batch}")
         if self.image_size < self.patch:
             bad("image_size", f"must be >= patch ({self.patch}), "
                 f"got {self.image_size}")
-        for key in ("train_scenes", "val_scenes"):
-            if getattr(self, key) < 1:
-                bad(key, f"must be >= 1, got {getattr(self, key)}")
-        for key in ("steps", "seed", "ckpt_every"):
-            if getattr(self, key) < 0:
-                bad(key, f"must be >= 0, got {getattr(self, key)}")
         return self
 
 
@@ -132,6 +120,8 @@ def _parse_bool(key: str, raw: str) -> bool:
 
 def _parse_value(key: str, raw: str, default):
     try:
+        if not raw.isascii():  # int() and float() read any Unicode digit
+            raise ValueError("not ASCII")
         if isinstance(default, bool):
             return _parse_bool(key, raw)
         if isinstance(default, int):
@@ -171,13 +161,22 @@ def _config_keys(text: str) -> dict:
     return keys
 
 
-def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
-    cfg = dataclasses.replace(RunConfig(), **_config_keys(text))
-    for key, value in (overrides or {}).items():
-        if key not in _FIELDS:
-            raise ConfigError(f"config override: unknown key '{key}'")
-        setattr(cfg, key, value)
-    return cfg.validate()
+def parse_config_text(text: str) -> RunConfig:
+    return dataclasses.replace(RunConfig(), **_config_keys(text)).validate()
+
+
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(map(_format_value, value))
+    # repr round-trips a float exactly
+    return str(value).lower() if isinstance(value, bool) else repr(value)
+
+
+def config_text(cfg: RunConfig) -> str:
+    """`cfg` as config-file text: one `key = value` line per field, in
+    field order; `parse_config_text` reads it back to an equal config."""
+    return "".join(f"{name} = {_format_value(getattr(cfg, name))}\n"
+                   for name in _FIELDS)
 
 
 def _read_config(path) -> str:
@@ -188,8 +187,8 @@ def _read_config(path) -> str:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def parse_config(path, overrides: dict | None = None) -> RunConfig:
-    return parse_config_text(_read_config(path), overrides)
+def parse_config(path) -> RunConfig:
+    return parse_config_text(_read_config(path))
 
 
 # what a trained model's weights are shaped by
@@ -235,35 +234,3 @@ def preset_ablation() -> RunConfig:
     return RunConfig(stage_channels=(8, 8), d_model=8,
                      focal_gamma=2.0, coupling_lambda=0.0,
                      lr_global=3e-3, lr_local=3e-3).validate()
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    out = {}
-    for name in _FIELDS:
-        value = getattr(cfg, name)
-        out[name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
-def _json_type_ok(value, default) -> bool:
-    """True when a JSON value has the type of a field's default."""
-    if isinstance(default, tuple):
-        return isinstance(value, list) \
-            and all(_json_type_ok(v, default[0]) for v in value)
-    if isinstance(default, float):
-        return type(value) in (int, float)
-    return type(value) is type(default)
-
-
-def config_from_dict(raw: dict) -> RunConfig:
-    cfg = RunConfig()
-    for key, value in raw.items():
-        if key not in _FIELDS:
-            raise ConfigError(f"checkpoint config: unknown key '{key}'")
-        if not _json_type_ok(value, _FIELDS[key].default):
-            raise ConfigError(f"checkpoint config: key '{key}' has the wrong "
-                              f"type ({value!r})")
-        if isinstance(value, list):
-            value = tuple(value)
-        setattr(cfg, key, value)
-    return cfg.validate()

@@ -56,9 +56,10 @@ from .tiling import (StitchAccumulator, TileGrid, extract_patch, plan_grid,
 
 IN_CHANNELS = 3
 
-# Most tokens one inference tile may hold. Self-attention scores a block of
-# rows against all of them, so the cap bounds what one tile allocates; a
-# global-mode call on a large image would otherwise ask for gigabytes.
+# Most tokens one tile, or the global branch's downsampled image, may hold.
+# Self-attention scores a block of rows against all of them, so the cap
+# bounds what one tile allocates; a global-mode call on a large image, or a
+# large global_size, would otherwise ask for gigabytes.
 MAX_TILE_TOKENS = 2 ** 16
 
 
@@ -317,6 +318,15 @@ def _checked_image(image: np.ndarray, grid: Optional[TileGrid],
     return image
 
 
+def _check_tokens(what: str, side: int, stride: int, fix: str) -> None:
+    """Refuse a `side` px square that holds more than MAX_TILE_TOKENS
+    tokens at `stride`, before anything is sized by it."""
+    tokens = (side // stride) ** 2
+    if tokens > MAX_TILE_TOKENS:
+        raise DimensionError(f"{what} has {tokens} tokens, more than "
+                             f"{MAX_TILE_TOKENS}; {fix}")
+
+
 def _branch_tokens(x: Tensor, params: ModelParams, branch: str,
                    settings: TrainSettings) -> TokenSeq:
     """Backbone tokens of one branch ("g" or "l"), refined by residual
@@ -333,8 +343,11 @@ def _branch_tokens(x: Tensor, params: ModelParams, branch: str,
 def _global_branch(img_t: Tensor, params: ModelParams,
                    settings: TrainSettings) -> GlobalContext:
     """The whole image downsampled to global_size, run through the global
-    branch once per pass."""
+    branch once per pass; a global_size of more than MAX_TILE_TOKENS
+    tokens is refused before the downsample."""
     g = settings.global_size
+    _check_tokens(f"the {g} px global branch input", g,
+                  params.backbone.stride(), "use a smaller global_size")
     seq = _branch_tokens(ad.bilinear_resize(img_t, g, g), params, "g", settings)
     return GlobalContext(seq, *project_qkv(seq, params.attn("fuse_g")))
 
@@ -358,10 +371,15 @@ def _tile_forward(image: np.ndarray, grid: TileGrid, i: int,
 def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
                   params: ModelParams, settings: TrainSettings
                   ) -> tuple[BranchOutputs, LossBreakdown]:
-    """Full training pass over one image; returns outputs and the loss."""
+    """Full training pass over one image; returns outputs and the loss.
+    Tiles and the global branch input are capped at MAX_TILE_TOKENS
+    tokens, as in `forward_infer`."""
     image = _checked_image(image, grid, "forward_train")
     h, w = image.shape[1:]
     labels = _check_labels(labels, params.num_classes, (h, w))
+    _check_tokens(f"forward_train: a {grid.patch} px tile", grid.patch,
+                  params.backbone.stride(skip_last_pool=True),
+                  "use a smaller patch")
 
     # the image tensor dies with the global branch's downsample
     glb = _global_branch(Tensor(image), params, settings)
@@ -464,7 +482,8 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
     Patch mode walks the provided grid; global mode treats the whole
     image as a single tile at full resolution (the tile is padded up to a
     stride multiple when needed). A tile of more than MAX_TILE_TOKENS
-    tokens is refused before anything is allocated. Each tile's local
+    tokens is refused before anything is allocated, and so is a global
+    branch input before its downsample. Each tile's local
     branch runs once, since
     conv(concat[G, L], K) + b = conv(G, K[:, :d]) + conv(L, K[:, d:]) + b,
     and `_resized_conv` gives each half without resizing its map. With
@@ -485,11 +504,8 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
         raise UsageError(f"forward_infer: unknown mode {mode!r}")
     elif grid is None:
         raise UsageError("forward_infer: patch mode needs a tile grid")
-    tokens = (grid.patch // stride) ** 2
-    if tokens > MAX_TILE_TOKENS:
-        raise DimensionError(
-            f"forward_infer: a {grid.patch} px tile has {tokens} tokens, more "
-            f"than {MAX_TILE_TOKENS}; use patch mode with a smaller patch")
+    _check_tokens(f"forward_infer: a {grid.patch} px tile", grid.patch,
+                  stride, "use patch mode with a smaller patch")
 
     img_t = Tensor(image)
     acc = StitchAccumulator(params.num_classes, grid)

@@ -1,6 +1,7 @@
 """Checkpoint save/load: lossless round-trip, shape and value policing."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from dualseg.errors import ConfigError, DataError
 from dualseg.harness import checkpoint
 from dualseg.harness.checkpoint import (load_checkpoint, make_optimizer,
                                         save_checkpoint)
-from dualseg.harness.config import RunConfig
+from dualseg.harness.config import RunConfig, config_text
 from dualseg.model import ModelParams
 
 
@@ -34,6 +35,8 @@ class TestRoundTrip:
         cfg2, params2, opt_state = load_checkpoint(path)
         assert opt_state is None
         assert cfg2 == cfg
+        with open(path) as f:
+            assert json.load(f)["config"] == config_text(cfg)
         for name, t in params.named().items():
             assert t.data.tobytes() == params2.by_name[name].data.tobytes()
 
@@ -101,8 +104,8 @@ MALFORMED = [
     ("top_level_number", lambda doc: 3, "not a JSON object"),
     ("params_list", lambda doc: _set(("params",), list(doc["params"].values()))(doc),
      "'params' is not an object"),
-    ("config_list", lambda doc: _set(("config",), list(doc["config"].items()))(doc),
-     "'config' is not an object"),
+    ("config_list", lambda doc: _set(("config",), doc["config"].splitlines())(doc),
+     "'config' is not config text"),
     ("array_not_object", _set(BIAS, [0.0, 1.0]), "needs 'shape' and 'data'"),
     ("array_without_shape", _drop(*BIAS, "shape"), "needs 'shape' and 'data'"),
     ("array_without_data", _drop(*BIAS, "data"), "needs 'shape' and 'data'"),
@@ -195,24 +198,39 @@ class TestRejection:
         with pytest.raises(DataError, match=match):
             load_checkpoint(self._write(tmp_path, doc))
 
+    def _with_line(self, tmp_path, key, raw):
+        """A saved checkpoint whose config text sets `key = raw`."""
+        doc = self._doc(tmp_path)
+        doc["config"], n = re.subn(rf"^{key} = .*$", f"{key} = {raw}",
+                                   doc["config"], flags=re.M)
+        assert n == 1
+        return self._write(tmp_path, doc)
+
+    # each value the typed JSON config refused, now as its JSON text; text
+    # reads `use_mask = 1` as true, so that case became `"maybe"`
     @pytest.mark.parametrize("key,value", [("d_model", "4"), ("patch", 8.0),
-                                           ("use_mask", 1),
+                                           ("use_mask", "maybe"),
                                            ("stage_channels", [4, "4"]),
                                            ("downsample", True)])
     def test_mistyped_config_value(self, tmp_path, key, value):
-        doc = self._doc(tmp_path)
-        doc["config"][key] = value
-        with pytest.raises(ConfigError, match=f"'{key}' has the wrong type"):
-            load_checkpoint(self._write(tmp_path, doc))
+        path = self._with_line(tmp_path, key, json.dumps(value))
+        with pytest.raises(ConfigError, match=f"^config key '{key}': "):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("key,value", [("lr_global", float("nan")),
                                            ("coupling_lambda", float("inf"))])
     def test_non_finite_config_value(self, tmp_path, key, value):
-        # json writes these as NaN / Infinity and reads them back
-        doc = self._doc(tmp_path)
-        doc["config"][key] = value
+        path = self._with_line(tmp_path, key, repr(value))
         with pytest.raises(ConfigError, match=f"'{key}': must be finite"):
-            load_checkpoint(self._write(tmp_path, doc))
+            load_checkpoint(path)
+
+    def test_config_text_errors_name_the_key(self, tmp_path):
+        for line, match in [("patch = 8", "duplicate key 'patch'"),
+                            ("mystery = 1", "unknown key 'mystery'")]:
+            doc = self._doc(tmp_path)
+            doc["config"] += line + "\n"
+            with pytest.raises(ConfigError, match=match):
+                load_checkpoint(self._write(tmp_path, doc))
 
     def test_optimizer_moments_for_wrong_parameters(self, tmp_path):
         cfg = micro_cfg()

@@ -187,7 +187,9 @@ class TestExitCodes:
                                                    capsys):
         # predictions are written as 8-bit gray with 255 kept for ignore
         doc = json.loads((workspace / "run/ckpt.json").read_text())
-        doc["config"]["num_classes"] = 300
+        assert "\nnum_classes = 3\n" in doc["config"]
+        doc["config"] = doc["config"].replace("\nnum_classes = 3\n",
+                                              "\nnum_classes = 300\n")
         ckpt = tmp_path / "classes.json"
         ckpt.write_text(json.dumps(doc))
         assert main(["infer", "--ckpt", str(ckpt),
@@ -196,6 +198,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'num_classes'" in err
         assert not (tmp_path / "pred").exists()
+
+    def test_format_1_checkpoint_is_3(self, workspace, tmp_path, capsys):
+        # format 1 stored the config as a typed JSON object
+        doc = json.loads((workspace / "run/ckpt.json").read_text())
+        doc["version"] = 1
+        doc["config"] = dataclasses.asdict(load_checkpoint(
+            workspace / "run/ckpt.json")[0])
+        ckpt = tmp_path / "v1.json"
+        ckpt.write_text(json.dumps(doc))
+        assert main(["infer", "--ckpt", str(ckpt),
+                     "--image", str(workspace / "data/val/scene_0000.ppm"),
+                     "--out", str(tmp_path / "pred")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "checkpoint version 1 is not 2" in captured.err
+        assert not (tmp_path / "pred").exists()
+
+    def test_global_size_above_token_cap_is_3(self, workspace, tmp_path,
+                                              capsys, monkeypatch):
+        # 65536 px at stride 4 is 16384**2 global tokens; the refusal
+        # comes before the downsample would allocate ~100 GB
+        def resize(*args, **kwargs):
+            raise AssertionError("the refused global branch resized")
+
+        monkeypatch.setattr(model.ad, "bilinear_resize", resize)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("global_size = 65536\n")
+        assert main(["infer", "--ckpt", str(workspace / "run/ckpt.json"),
+                     "--config", str(cfg),
+                     "--image", str(workspace / "data/val/scene_0000.ppm"),
+                     "--out", str(tmp_path / "pred")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert ("has 268435456 tokens, more than 65536; use a smaller "
+                "global_size") in captured.err
 
     def test_global_tile_above_token_cap_is_3(self, workspace, tmp_path,
                                               capsys, monkeypatch):

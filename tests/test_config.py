@@ -1,11 +1,15 @@
 """Config parsing: key=value format, typo safety, validation messages."""
 
+import dataclasses
+import json
+
 import pytest
 
+from dualseg.cli import main
 from dualseg.errors import ConfigError
-from dualseg.harness.config import (RunConfig, config_from_dict,
-                                    config_to_dict, parse_config,
-                                    parse_config_text)
+from dualseg.harness.config import (RunConfig, config_text, parse_config,
+                                    parse_config_text, preset_ablation,
+                                    preset_convergence)
 
 
 class TestParsing:
@@ -58,10 +62,24 @@ class TestParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(tmp_path / "nope.cfg")
 
-    def test_overrides_apply_after_file(self, tmp_path):
+    def test_seed_flag_applies_after_file(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
-        path.write_text("seed = 7\n")
-        assert parse_config(path, {"seed": 9}).seed == 9
+        path.write_text("seed = 7\ntrain_scenes = 1\nval_scenes = 1\n"
+                        "image_size = 48\n")
+        assert main(["gen-data", "--config", str(path), "--seed", "9",
+                     "--out", str(tmp_path / "data")]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 9
+        # the flag is validated like a config value
+        assert main(["gen-data", "--config", str(path), "--seed", "-1",
+                     "--out", str(tmp_path / "neg")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'seed'" in err
+        assert not (tmp_path / "neg").exists()
+
+    def test_non_ascii_value_named(self):
+        # int() would read a fullwidth digit as 8
+        with pytest.raises(ConfigError, match="'patch': bad value"):
+            parse_config_text("patch = \uff18\n")
 
 
 class TestValidation:
@@ -103,13 +121,34 @@ class TestValidation:
                 parse_config_text(text)
 
 
-class TestDictRoundTrip:
-    def test_to_dict_and_back(self):
-        cfg = parse_config_text("patch = 16\noverlap = 2\nsteps = 3\n"
-                                "use_self_attn = false\n")
-        again = config_from_dict(config_to_dict(cfg))
-        assert again == cfg
+# every field off its default, with floats a rounded format would change
+OFF_DEFAULT = RunConfig(
+    patch=16, overlap=4, global_size=16, num_classes=7,
+    stage_channels=(4, 6, 5), downsample=(False, True, True), d_model=5,
+    use_self_attn=False, use_mask=False, mask_dilation=2,
+    coupling_lambda=0.1 + 0.2, focal_gamma=1e-300, lr_global=1 / 3,
+    lr_local=2.5e-3, beta1=0.5, beta2=0.0, batch=2, steps=7, seed=11,
+    image_size=40, train_scenes=3, val_scenes=2, ckpt_every=0)
 
-    def test_from_dict_rejects_unknown(self):
-        with pytest.raises(ConfigError, match="mystery"):
-            config_from_dict({"mystery": 1})
+
+class TestTextRoundTrip:
+    @pytest.mark.parametrize("cfg", [RunConfig(), preset_convergence(),
+                                     preset_ablation(), OFF_DEFAULT],
+                             ids=["defaults", "convergence", "ablation",
+                                  "off_default"])
+    def test_text_and_back(self, cfg):
+        again = parse_config_text(config_text(cfg))
+        assert again == cfg
+        for field in dataclasses.fields(RunConfig):
+            assert repr(getattr(again, field.name)) \
+                == repr(getattr(cfg, field.name))
+
+    def test_one_line_per_field_in_field_order(self):
+        OFF_DEFAULT.validate()
+        for field in dataclasses.fields(RunConfig):
+            assert getattr(OFF_DEFAULT, field.name) != field.default
+        lines = config_text(OFF_DEFAULT).splitlines()
+        assert [line.split(" = ")[0] for line in lines] \
+            == [f.name for f in dataclasses.fields(RunConfig)]
+        assert "downsample = false, true, true" in lines
+        assert "coupling_lambda = 0.30000000000000004" in lines

@@ -447,6 +447,42 @@ class TestForwardTrain:
             forward_train(image, labels, plan_grid(8, 8, 4, 2), params, settings)
 
 
+class TestTrainTokenCap:
+    """forward_train refuses what forward_infer refuses, before its first
+    tile or the global downsample."""
+
+    @pytest.fixture
+    def refuse_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a refused pass did work")
+
+        monkeypatch.setattr(ad, "bilinear_resize", fail)
+        monkeypatch.setattr(model, "extract_patch", fail)
+
+    def test_tile_tokens_are_capped(self, monkeypatch, refuse_work):
+        params, image, labels, grid, settings = micro_setup()
+        # an 8 px patch at stride 2 has 16 tokens
+        monkeypatch.setattr(model, "MAX_TILE_TOKENS", 15)
+        with pytest.raises(DimensionError,
+                           match=r"forward_train: a 8 px tile has 16 tokens, "
+                                 r"more than 15; use a smaller patch"):
+            forward_train(image, labels, grid, params, settings)
+
+    def test_global_tokens_are_capped(self, refuse_work):
+        params, image, labels, grid, settings = micro_setup(global_size=65536)
+        with pytest.raises(DimensionError,
+                           match=r"268435456 tokens, more than 65536; "
+                                 r"use a smaller global_size"):
+            forward_train(image, labels, grid, params, settings)
+
+    def test_a_pass_at_the_cap_runs(self, monkeypatch):
+        # 16 tile tokens and (8 // 4) ** 2 = 4 global tokens
+        params, image, labels, grid, settings = micro_setup()
+        monkeypatch.setattr(model, "MAX_TILE_TOKENS", 16)
+        _, bd = forward_train(image, labels, grid, params, settings)
+        assert np.isfinite(bd.total)
+
+
 # ---------------------------------------------------------------------------
 # inference pass
 
@@ -627,6 +663,21 @@ class TestForwardInfer:
         monkeypatch.setattr(model, "MAX_TILE_TOKENS", 15)
         for mode in ("patch", "global"):
             with pytest.raises(DimensionError, match="more than 15"):
+                forward_infer(image, grid if mode == "patch" else None,
+                              params, settings, mode=mode)
+
+    def test_global_branch_is_capped_before_downsampling(self, monkeypatch):
+        params, image, _, grid, settings = micro_setup(global_size=65536)
+
+        def resize(*args, **kwargs):
+            raise AssertionError("the refused global branch resized")
+
+        monkeypatch.setattr(ad, "bilinear_resize", resize)
+        for mode in ("patch", "global"):
+            with pytest.raises(DimensionError,
+                               match=r"the 65536 px global branch input has "
+                                     r"268435456 tokens, more than 65536; "
+                                     r"use a smaller global_size"):
                 forward_infer(image, grid if mode == "patch" else None,
                               params, settings, mode=mode)
 
