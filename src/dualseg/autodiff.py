@@ -374,6 +374,21 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
     return _maybe_record(tuple(parts), out, bw)
 
 
+def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    """Entries start..stop-1 of `a` along `axis`, as an owned copy;
+    backward puts the gradient back in that range and zeros elsewhere."""
+    index = (slice(None),) * axis + (slice(start, stop),)
+    out = Tensor(a.data[index])
+
+    def bw(g):
+        if a.requires_grad:
+            ga = np.zeros_like(a.data)
+            ga[index] = g
+            a.accumulate_grad(ga)
+
+    return _maybe_record((a,), out, bw)
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -511,14 +526,14 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor,
             v.accumulate_grad(scatter(p.data.T @ g))
         if not (q.requires_grad or k.requires_grad):
             return
+        # rowsum(dP * P) = rowsum(g * out): read on [n_q, d_v], not [n_q, n_k]
         gp = g @ v_s.T
-        gp -= (gp * p.data).sum(axis=1, keepdims=True)
+        gp -= (g * out.data).sum(axis=1, keepdims=True)
         gp *= p.data
-        gp *= c
         if q.requires_grad:
-            q.accumulate_grad(gp @ kt.T)
+            q.accumulate_grad((gp @ k_s) * c)
         if k.requires_grad:
-            k.accumulate_grad(scatter((q.data.T @ gp).T))
+            k.accumulate_grad(scatter(gp.T @ qc))
 
     return _maybe_record((q, k, v), out, bw)
 

@@ -86,9 +86,10 @@ def _cmd_infer(args) -> int:
     if args.config:
         cfg = override_config(cfg, args.config)
     raw = netpbm.read_ppm(args.image)
-    os.makedirs(args.out, exist_ok=True)
     report: dict = {}
     pred = predict(cfg, params, netpbm.bytes_to_image(raw), args.mode, report)
+    # only now, so that a refused prediction leaves no directory behind
+    os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.image))[0]
     pred_path = os.path.join(args.out, stem + ".pgm")
     netpbm.write_pgm(pred_path, pred.astype(np.uint8))

@@ -30,6 +30,10 @@ CHECKER_HI = 0.85
 BAND_THICKNESS = (24, 32)
 RECT_SIZE = (10, 14)
 MIN_SIZE = 48        # smallest side that fits the band and a rectangle
+# Largest side gen-data writes. A scene of side s holds a float64 image
+# (24 s^2 bytes) and int64 labels (8 s^2 bytes): 537 MB at 4096 px, where
+# an unbounded 65536 px side would ask for ~137 GB.
+MAX_SIZE = 4096
 MIN_CLASSES = 3      # background, rectangles, band
 
 
@@ -104,9 +108,9 @@ def gen_data(out_dir: str, n_train: int, n_val: int, size: int,
 
     Sizes the task cannot use are configuration errors, raised before
     any directory is made."""
-    if size < MIN_SIZE:
-        raise ConfigError(f"config key 'image_size': gen-data needs >= "
-                          f"{MIN_SIZE}, got {size}")
+    if not MIN_SIZE <= size <= MAX_SIZE:
+        raise ConfigError(f"config key 'image_size': gen-data needs "
+                          f"{MIN_SIZE}..{MAX_SIZE}, got {size}")
     if num_classes < MIN_CLASSES:
         raise ConfigError(f"config key 'num_classes': gen-data needs >= "
                           f"{MIN_CLASSES}, got {num_classes}")

@@ -22,10 +22,14 @@ for bit.
 Per tile, the fused local tokens are mapped back to a feature map,
 upsampled to tile resolution and stitched onto the full canvas. A 3x3
 conv over the channel-concat of both (global resized up to canvas size)
-yields the aggregate logits. Training adds per-branch 1x1 heads and
-combines three focal losses with a Euclidean penalty tying the two
-branches' features together; the penalty reads the same resized global
-map as the concat, so a training step builds that [d, H, W] map once.
+yields the aggregate logits. The conv is linear in its input channels,
+so training takes it as two halves and builds no concat: conv2d over
+the stitched local map, plus `resized_conv` of the global map, one taped
+op that folds the upsample into the conv. Training adds per-branch 1x1
+heads and combines three focal losses, each one taped op, with a
+Euclidean penalty tying the two branches' features together; only the
+penalty reads the resized [d, H, W] global map, which a training step
+builds once, and with lambda = 0 no gradient flows through it.
 
 Inference (`forward_infer`) runs the same tile pipeline without a tape,
 once per tile in patch mode (bounded transients) or on one full-size
@@ -49,7 +53,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import (AttentionWeights, TokenSeq, build_patch_mask,
                         cross_fuse, project_qkv, self_attention)
-from .autodiff import Tensor, _resize_matrix
+from .autodiff import Tensor, _maybe_record, _resize_matrix
 from .errors import DataError, DimensionError, UsageError
 from .tiling import (StitchAccumulator, TileGrid, extract_patch, plan_grid,
                      stitch)
@@ -259,31 +263,52 @@ def _check_labels(labels: np.ndarray, num_classes: int, shape) -> np.ndarray:
 
 
 def focal_loss(logits: Tensor, targets: np.ndarray, gamma: float) -> Tensor:
-    """Mean over pixels of -(1 - p_t)^gamma * log(p_t), log floored at 1e-12."""
+    """Mean over pixels of -(1 - p_t)^gamma * log(p_t), log floored at 1e-12.
+
+    One taped op. The forward evaluates the expressions of the op chain
+    softmax_rows, gather, power, log, mean_all, scale(-1) in the same
+    order; the backward is closed-form. With w = (1 - p_t)^gamma and
+    l = log(max(p_t, 1e-12)), dL/dz_j = (g / n) * c * (p_j - [j == t]) for
+    c = w * [p_t >= 1e-12] - gamma * (1 - p_t)^(gamma - 1) * l * p_t, the
+    second term dropped when gamma == 0 (w is then ones, as `ad.power`
+    gives).
+    """
     if gamma < 0:
         raise UsageError(f"focal_loss: gamma must be >= 0, got {gamma}")
     if logits.ndim != 3:
         raise DimensionError(f"focal_loss: logits must be [K,h,w], got {tuple(logits.shape)}")
     k, h, w = logits.shape
-    targets = _check_labels(targets, k, (h, w))
-    n = h * w
-    flat = ad.transpose(ad.reshape(logits, (k, n)))
-    p = ad.softmax_rows(flat)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), targets.reshape(-1)] = 1.0
-    p_t = ad.matmul(ad.mul(p, Tensor(onehot)), Tensor(np.ones((k, 1))))
-    focal_w = ad.power(ad.sub(Tensor(np.ones((n, 1))), p_t), gamma)
-    per_pixel = ad.mul(focal_w, ad.log(p_t))
-    return ad.scale(ad.mean_all(per_pixel), -1.0)
+    targets = _check_labels(targets, k, (h, w)).reshape(-1)
+    n, gamma, floor = h * w, float(gamma), 1e-12
+    z = logits.data.reshape(k, n)
+    # the row max is exact in any order, and over axis 0 it is one pass
+    e = np.exp(np.ascontiguousarray(z.T) - z.max(axis=0)[:, None])
+    p = e / e.sum(axis=1, keepdims=True)
+    p_t = p[np.arange(n), targets][:, None]
+    focal_w = np.ones_like(p_t) if gamma == 0.0 else (1.0 - p_t) ** gamma
+    log_pt = np.log(np.maximum(p_t, floor))
+    out = Tensor((focal_w * log_pt).sum() / n * -1.0)
+
+    def bw(g):
+        if logits.requires_grad:
+            c = focal_w * (p_t >= floor)
+            if gamma != 0.0:
+                c -= gamma * (1.0 - p_t) ** (gamma - 1.0) * log_pt * p_t
+            c *= float(g) / n
+            gz = p * c
+            gz[np.arange(n), targets] -= c[:, 0]
+            logits.accumulate_grad(gz.T.reshape(k, h, w))
+
+    return _maybe_record((logits,), out, bw)
 
 
 def coupling_penalty(x_loc: Tensor, x_glb: Tensor) -> Tensor:
     """Euclidean (Frobenius) norm of the branch feature difference.
 
     Both maps are [d, H, W]; the caller passes the global map already
-    resized to the local map's size (forward_train hands over the one it
-    built for the aggregation concat). The result is 0 exactly when the
-    two tensors are equal.
+    resized to the local map's size (forward_train builds it for this
+    penalty alone). The result is 0 exactly when the two tensors are
+    equal.
     """
     if x_loc.ndim != 3 or x_glb.shape != x_loc.shape:
         raise DimensionError(
@@ -405,9 +430,11 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
     labels_g = downsample_labels_nn(labels, *glb.seq.spatial)
 
     agg_k, agg_b = params.f_agg()
+    d = params.backbone.d_model
+    s_agg = ad.add(ad.conv2d(x_loc_full, ad.narrow(agg_k, 1, d, 2 * d),
+                             padding=1, bias=agg_b),
+                   resized_conv(x_glb, ad.narrow(agg_k, 1, 0, d), (h, w)))
     glb_up = ad.bilinear_resize(x_glb, h, w)
-    s_agg = ad.conv2d(ad.concat_channels([glb_up, x_loc_full]), agg_k,
-                      padding=1, bias=agg_b)
 
     main_t = focal_loss(s_agg, labels, settings.focal_gamma)
     aux_g_t = focal_loss(s_glb, labels_g, settings.focal_gamma)
@@ -452,10 +479,10 @@ def _window_taps(src: int, dst: int, start: int, size: int,
 
 
 def _resized_conv(taps: np.ndarray, canvas: tuple[int, int],
-                  origin: tuple[int, int], size: int,
+                  origin: tuple[int, int], size: tuple[int, int],
                   bias: Optional[np.ndarray] = None) -> np.ndarray:
-    """conv2d(W, K, padding=k//2, bias) of the size x size window W at
-    `origin` of bilinear_resize(x, *canvas), zero past the canvas, from
+    """conv2d(W, K, padding=k//2, bias) of the size[0] x size[1] window W
+    at `origin` of bilinear_resize(x, *canvas), zero past the canvas, from
     taps = _conv_taps(x, K), without building the resized map.
 
     Channel mixing commutes with the resize; the conv's zero padding and
@@ -464,13 +491,39 @@ def _resized_conv(taps: np.ndarray, canvas: tuple[int, int],
     A_y[dy] taps[o, dy, :, dx] A_x[dx]^T + b[o]: two more small GEMMs.
     """
     o, kh, sh, kw, sw = taps.shape
-    a_y = _window_taps(sh, canvas[0], origin[0], size, kh)
-    a_x = _window_taps(sw, canvas[1], origin[1], size, kw)
+    a_y = _window_taps(sh, canvas[0], origin[0], size[0], kh)
+    a_x = _window_taps(sw, canvas[1], origin[1], size[1], kw)
     out = a_y @ (taps.reshape(o * kh * sh, kw * sw) @ a_x.T).reshape(
-        o, kh * sh, size)
+        o, kh * sh, size[1])
     if bias is not None:
         out += bias[:, None, None]
     return out
+
+
+def resized_conv(x: Tensor, kernel: Tensor, size: tuple[int, int]) -> Tensor:
+    """conv2d(bilinear_resize(x, *size), kernel, padding=k//2) as one
+    taped op: `_resized_conv` over the whole canvas, so the resized map is
+    never built. Backward is its adjoint: the taps gradient is
+    A_y^T g A_x, then one GEMM each gives the map and kernel gradients."""
+    c, sh, sw = x.shape
+    o, _, kh, kw = kernel.shape
+    kmat = kernel.data.transpose(0, 2, 3, 1).reshape(o * kh * kw, c)
+    out = Tensor(_resized_conv(_conv_taps(x.data, kernel.data), size,
+                               (0, 0), size))
+
+    def bw(g):
+        a_y = _window_taps(sh, size[0], 0, size[0], kh)
+        a_x = _window_taps(sw, size[1], 0, size[1], kw)
+        g_taps = (a_y.T @ g).reshape(o * kh * sh, size[1]) @ a_x
+        g_z = g_taps.reshape(o, kh, sh, kw, sw).transpose(0, 1, 3, 2, 4) \
+            .reshape(o * kh * kw, sh * sw)
+        if x.requires_grad:
+            x.accumulate_grad((kmat.T @ g_z).reshape(c, sh, sw))
+        if kernel.requires_grad:
+            kernel.accumulate_grad((g_z @ x.data.reshape(c, -1).T)
+                                   .reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
+
+    return _maybe_record((x, kernel), out, bw)
 
 
 def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
@@ -521,7 +574,7 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
         fused_g, loc_map = _tile_forward(image, grid, i, glb, params, settings)
         fused_g_sum = fused_g.data if i == 0 else fused_g_sum + fused_g.data
         taps = _conv_taps(loc_map.data, agg_k.data[:, d:])
-        acc.add(Tensor(_resized_conv(taps, (p, p), (0, 0), p,
+        acc.add(Tensor(_resized_conv(taps, (p, p), (0, 0), (p, p),
                                      agg_b.data)).data, i)
         del fused_g, loc_map  # free before the next tile allocates
 
@@ -529,7 +582,8 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
     x_glb = (fused_g_sum * (1.0 / grid.n_tiles)).T.reshape(d, *glb.seq.spatial)
     taps = _conv_taps(x_glb, agg_k.data[:, :d])
     for i, origin in enumerate(grid.origins):
-        acc.add_share(Tensor(_resized_conv(taps, (h, w), origin, p)).data, i)
+        acc.add_share(Tensor(_resized_conv(taps, (h, w), origin,
+                                           (p, p))).data, i)
 
     if mem_report is not None:
         mem_report["peak_bytes"] = LEDGER.peak_bytes

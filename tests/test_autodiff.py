@@ -599,6 +599,21 @@ class TestSdpa:
             for g, w in zip([got[0]] + got[1], [want[0]] + want[1]):
                 assert_near_chain(g, w)
 
+    # the backward takes rowsum(dP * P) as rowsum(g * out) and scales the
+    # query gradient, not the score gradient, by 1/sqrt(d)
+    @pytest.mark.parametrize("mask", ["none", "row", "full"])
+    def test_backward_matches_op_chain_at_tile_shape(self, mask):
+        n_q, n_k, d = 256, 64, 16
+        rng = np.random.default_rng(16)
+        arrays = (rng.standard_normal((n_q, d)) * 2.0,
+                  rng.standard_normal((n_k, d)), rng.standard_normal((n_k, d)))
+        keep = _sdpa_masks(n_q, n_k)[mask]
+        w = rng.random((n_q, d)) + 0.5
+        got = _sdpa_grads(ad.sdpa, arrays, keep, w)[1]
+        want = _sdpa_grads(sdpa_chain, arrays, keep, w)[1]
+        for g, w in zip(got, want):
+            assert_near_chain(g, w)
+
     def test_rejects_bad_shapes(self):
         q, k, v = (Tensor(a) for a in self._qkv())
         with pytest.raises(DimensionError, match="sdpa"):
@@ -930,6 +945,14 @@ class TestElementwise:
             ad.concat_channels([Tensor(a), Tensor(np.ones((1, 3, 4)))])
         with pytest.raises(DimensionError):
             ad.concat_channels([])
+
+    def test_narrow(self):
+        a = np.random.default_rng(21).standard_normal((2, 6, 3, 3))
+        got = ad.narrow(Tensor(a), 1, 2, 5).data
+        np.testing.assert_array_equal(got, a[:, 2:5])
+        assert got.flags["C_CONTIGUOUS"]
+        assert_grads_match(lambda t: ad.narrow(t, 1, 2, 5), [a.copy()])
+        assert_grads_match(lambda t: ad.narrow(t, 0, 1, 2), [a.copy()])
 
 
 class TestGradcheck:

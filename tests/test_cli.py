@@ -9,6 +9,7 @@ import pytest
 
 from dualseg import cli, model
 from dualseg.cli import main
+from dualseg.harness import data
 from dualseg.harness.checkpoint import load_checkpoint
 from dualseg.harness.config import RunConfig
 from dualseg.harness.train import MICRO
@@ -233,6 +234,7 @@ class TestExitCodes:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert ("has 268435456 tokens, more than 65536; use a smaller "
                 "global_size") in captured.err
+        assert not (tmp_path / "pred").exists()
 
     def test_global_tile_above_token_cap_is_3(self, workspace, tmp_path,
                                               capsys, monkeypatch):
@@ -244,6 +246,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert "1024 tokens, more than 1023; use patch mode" in captured.err
+        assert not (tmp_path / "pred").exists()
 
     def test_unknown_config_key_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -267,6 +270,7 @@ class TestExitCodes:
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("key, value", [("image_size", 40),
+                                            ("image_size", data.MAX_SIZE + 1),
                                             ("num_classes", 2)])
     def test_gen_data_size_the_task_cannot_use_is_2(self, tmp_path, capsys,
                                                     key, value):

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from dualseg.errors import DataError
+from dualseg.errors import ConfigError, DataError
+from dualseg.harness import data
 from dualseg.harness.data import SyntheticScene, gen_data, generate_scene
 from dualseg.harness.netpbm import read_pgm, read_ppm
 from dualseg.tiling import plan_grid
@@ -76,6 +77,19 @@ class TestSceneStructure:
 
 
 class TestGenData:
+    def test_size_cap_both_sides(self, tmp_path, monkeypatch):
+        # the split writer is stubbed, so no large scene is drawn
+        sizes = []
+        monkeypatch.setattr(data, "_write_split",
+                            lambda out, count, size, *rest: sizes.append(size))
+        assert gen_data(tmp_path / "a", 1, 1, data.MAX_SIZE, 3, 0)["size"] \
+            == data.MAX_SIZE
+        assert sizes == [data.MAX_SIZE] * 2
+        with pytest.raises(ConfigError,
+                           match=rf"'image_size'.*got {data.MAX_SIZE + 1}"):
+            gen_data(tmp_path / "b", 1, 1, data.MAX_SIZE + 1, 3, 0)
+        assert sizes == [data.MAX_SIZE] * 2 and not (tmp_path / "b").exists()
+
     def test_writes_both_splits_with_pairs(self, tmp_path):
         info = gen_data(tmp_path, 3, 2, 64, 3, 0)
         assert info["train"] == 3 and info["val"] == 2

@@ -52,6 +52,21 @@ def focal_oracle(logits, targets, gamma):
     return float(np.mean(-((1.0 - p_t) ** gamma) * np.log(np.maximum(p_t, 1e-12))))
 
 
+def focal_chain(logits, targets, gamma):
+    """The op chain `focal_loss` fuses, as it was once built from taped
+    primitives."""
+    k, h, w = logits.shape
+    n = h * w
+    flat = ad.transpose(ad.reshape(logits, (k, n)))
+    p = ad.softmax_rows(flat)
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), targets.reshape(-1)] = 1.0
+    p_t = ad.matmul(ad.mul(p, Tensor(onehot)), Tensor(np.ones((k, 1))))
+    focal_w = ad.power(ad.sub(Tensor(np.ones((n, 1))), p_t), gamma)
+    per_pixel = ad.mul(focal_w, ad.log(p_t))
+    return ad.scale(ad.mean_all(per_pixel), -1.0)
+
+
 def ce_oracle(logits, targets):
     return focal_oracle(logits, targets, 0.0)
 
@@ -235,6 +250,46 @@ class TestFocalLoss:
         err = ad.gradcheck(lambda t: focal_loss(t, targets, 2.0), [logits])
         assert err < 1e-5
 
+    @staticmethod
+    def loss_and_grad(fn, logits, targets, gamma):
+        t = Tensor(logits, requires_grad=True)
+        with GradTape() as tape:
+            loss = fn(t, targets, gamma)
+            tape.backward(loss)
+        return loss.item(), t.grad
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, 6.0])
+    def test_matches_op_chain_and_differences(self, gamma):
+        rng = np.random.default_rng(8)
+        logits = rng.standard_normal((4, 5, 3)) * 2.0
+        targets = rng.integers(0, 4, size=(5, 3))
+        got, got_g = self.loss_and_grad(focal_loss, logits, targets, gamma)
+        want, want_g = self.loss_and_grad(focal_chain, logits, targets, gamma)
+        assert abs(got - want) <= 1e-12
+        np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-12)
+        err = ad.gradcheck(lambda t: focal_loss(t, targets[:2, :2], gamma),
+                           [logits[:, :2, :2]])
+        assert err < 1e-5
+
+    @pytest.mark.parametrize("gamma", [0.0, 2.0])
+    def test_p_t_below_log_floor_gets_no_log_gradient(self, gamma):
+        # pixel 0 puts p_t ~ 4e-18 under the 1e-12 floor of the log
+        logits = np.zeros((2, 1, 2))
+        logits[1, 0, 0] = 40.0
+        targets = np.zeros((1, 2), dtype=np.int64)
+        got, got_g = self.loss_and_grad(focal_loss, logits, targets, gamma)
+        want, want_g = self.loss_and_grad(focal_chain, logits, targets, gamma)
+        assert abs(got - want) <= 1e-12
+        np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-12)
+        if gamma == 0.0:
+            assert not got_g[:, 0, 0].any() and got_g[:, 0, 1].any()
+
+    def test_one_tape_record(self):
+        logits = Tensor(np.zeros((3, 4, 4)), requires_grad=True)
+        with GradTape() as tape:
+            focal_loss(logits, np.zeros((4, 4), dtype=np.int64), 6.0)
+        assert len(tape._records) == 1
+
     def test_validation(self):
         logits = Tensor(np.zeros((2, 3, 3)))
         with pytest.raises(UsageError):
@@ -383,6 +438,22 @@ class TestForwardTrain:
         monkeypatch.setattr(ad, "bilinear_resize", counted)
         forward_train(image, labels, grid, params, settings)
         assert targets.count((16, 16)) == 1
+
+    def test_no_full_canvas_concat(self, monkeypatch):
+        # the aggregation conv runs as two halves; nothing builds the
+        # [2d, H, W] concat of the global and local maps
+        params, image, labels, grid, settings = micro_setup()
+        d = params.backbone.d_model
+
+        def concat(*args, **kwargs):
+            raise AssertionError("forward_train built a channel concat")
+
+        monkeypatch.setattr(ad, "concat_channels", concat)
+        with GradTape() as tape:
+            forward_train(image, labels, grid, params, settings)
+            shapes = [out.shape for out, _ in tape._records]
+        assert shapes and not [s for s in shapes
+                               if len(s) == 3 and s[0] == 2 * d]
 
     def test_coupling_is_distance_to_resized_global_map(self):
         params, image, labels, grid, settings = micro_setup(seed=3)
@@ -690,13 +761,14 @@ class TestForwardInfer:
 
 
 class TestResizedConv:
-    """`_resized_conv` against conv2d over a window of the built resize."""
+    """`_resized_conv` against conv2d over a window of the built resize,
+    and the taped `resized_conv` against resize-then-conv."""
 
     @staticmethod
     def crop_then_conv(x, kernel, bias, h, w, r, c, size):
         full = ad.bilinear_resize(Tensor(x), h, w).data
-        hh, ww = min(size, h - r), min(size, w - c)
-        win = np.zeros((x.shape[0], size, size))
+        hh, ww = min(size[0], h - r), min(size[1], w - c)
+        win = np.zeros((x.shape[0], *size))
         win[:, :hh, :ww] = full[:, r:r + hh, c:c + ww]
         return ad.conv2d(Tensor(win), Tensor(kernel), padding=1,
                          bias=None if bias is None else Tensor(bias)).data
@@ -710,7 +782,7 @@ class TestResizedConv:
             got = model._resized_conv(taps, (h, w), (r, c), size, bias)
             want = TestResizedConv.crop_then_conv(x, kernel, bias, h, w, r, c,
                                                   size)
-            assert got.shape == (3, size, size)
+            assert got.shape == (3, *size)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     # origins into a 23x17 canvas, patch 8, from a 5x6 source: interior,
@@ -719,15 +791,57 @@ class TestResizedConv:
     @pytest.mark.parametrize("r,c", [(5, 3), (0, 0), (15, 9), (19, 12)])
     def test_window_matches_crop_then_conv(self, r, c):
         xg = np.random.default_rng(20).standard_normal((4, 5, 6))
-        self.check(xg, 23, 17, r, c, 8, seed=21)
+        self.check(xg, 23, 17, r, c, (8, 8), seed=21)
 
     # a tile's local map, 16 -> 32, and a non-square source on a
-    # non-square canvas, whole-canvas window
+    # non-square canvas, in a square window past the canvas and in a
+    # window of exactly the canvas
     @pytest.mark.parametrize("shape,h,w", [((16, 16, 16), 32, 32),
                                            ((5, 7, 3), 12, 20)])
     def test_whole_canvas_matches_resize_then_conv(self, shape, h, w):
         x = np.random.default_rng(22).standard_normal(shape)
-        self.check(x, h, w, 0, 0, max(h, w), seed=23)
+        for size in ((max(h, w), max(h, w)), (h, w)):
+            self.check(x, h, w, 0, 0, size, seed=23)
+
+    def test_taped_op_matches_resize_then_conv(self):
+        rng = np.random.default_rng(24)
+        x, kernel = rng.standard_normal((4, 5, 3)), rng.standard_normal((3, 4, 3, 3))
+        got = model.resized_conv(Tensor(x), Tensor(kernel), (12, 20)).data
+        want = ad.conv2d(ad.bilinear_resize(Tensor(x), 12, 20), Tensor(kernel),
+                         padding=1).data
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+        # and the gradients, against the same chain, to rounding
+        w = rng.random(want.shape) + 0.5
+        grads = []
+        for fn in (lambda a, k: model.resized_conv(a, k, (12, 20)),
+                   lambda a, k: ad.conv2d(ad.bilinear_resize(a, 12, 20), k,
+                                          padding=1)):
+            a, k = Tensor(x, requires_grad=True), Tensor(kernel, requires_grad=True)
+            with GradTape() as tape:
+                tape.backward(ad.sum_all(ad.mul(fn(a, k), Tensor(w))))
+            grads.append((a.grad, k.grad))
+        for g, want_g in zip(*grads):
+            np.testing.assert_allclose(g, want_g, rtol=0,
+                                       atol=1e-12 * np.abs(want_g).max())
+
+    def test_taped_op_gradcheck(self):
+        rng = np.random.default_rng(25)
+        x, kernel = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 2, 3, 3))
+        err = ad.gradcheck(lambda a, k: model.resized_conv(a, k, (7, 5)),
+                           [x, kernel])
+        assert err < 1e-6
+
+    def test_kernel_gradient_lands_in_its_half_of_f_agg(self):
+        params, image, labels, grid, settings = micro_setup(seed=4)
+        d = params.backbone.d_model
+        agg_k, _ = params.f_agg()
+        x = Tensor(np.random.default_rng(26).standard_normal((d, 2, 2)),
+                   requires_grad=True)
+        with GradTape() as tape:
+            out = model.resized_conv(x, ad.narrow(agg_k, 1, 0, d), (16, 16))
+            tape.backward(ad.sum_all(out))
+        assert agg_k.grad[:, :d].any() and not agg_k.grad[:, d:].any()
 
 
 # ---------------------------------------------------------------------------
