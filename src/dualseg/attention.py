@@ -77,18 +77,17 @@ class AttentionMask:
 
 
 class AttentionWeights:
-    """Query/key/value projection matrices for one token stream."""
+    """Query/key/value projection matrices for one token stream; values
+    are as wide as queries, which `cross_fuse`'s residuals need."""
 
-    def __init__(self, d_in: int, d_k: int, d_v: Optional[int] = None,
+    def __init__(self, d_in: int, d_k: int,
                  rng: Optional[np.random.Generator] = None):
-        if d_k < 1 or (d_v is not None and d_v < 1):
+        if d_k < 1:
             raise DimensionError("AttentionWeights: projection dims must be >= 1")
-        if d_v is None:
-            d_v = d_k
         rng = rng or np.random.default_rng(0)
         self.w_q = ad.init_uniform(rng, (d_in, d_k), d_in)
         self.w_k = ad.init_uniform(rng, (d_in, d_k), d_in)
-        self.w_v = ad.init_uniform(rng, (d_in, d_v), d_in)
+        self.w_v = ad.init_uniform(rng, (d_in, d_k), d_in)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.w_q": self.w_q, f"{prefix}.w_k": self.w_k,

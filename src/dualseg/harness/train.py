@@ -30,6 +30,8 @@ from .data import gen_data
 from .netpbm import bytes_to_image, read_pgm, read_ppm, write_pgm
 
 IGNORE_LABEL = 255
+# the two image sides `bench_memory` compares
+BENCH_SIDES = (128, 256)
 
 
 def load_pairs(data_dir: str) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -44,6 +46,9 @@ def load_pairs(data_dir: str) -> list[tuple[np.ndarray, np.ndarray]]:
             raise DataError(f"missing labels for {img_path}")
         image = bytes_to_image(read_ppm(img_path))
         labels = read_pgm(lab_path).astype(np.int64)
+        if labels.shape != image.shape[1:]:
+            raise DataError(f"{lab_path}: labels {labels.shape} do not "
+                            f"match the image's {image.shape[1:]}")
         pairs.append((image, labels))
     return pairs
 
@@ -59,13 +64,15 @@ def _check_train_labels(labels: np.ndarray, num_classes: int) -> None:
 
 def train_run(cfg: RunConfig, data_dir: str, out_dir: str,
               deterministic: bool = False) -> dict:
-    """Run cfg.steps optimisation steps; write log.jsonl and ckpt.json."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Run cfg.steps optimisation steps; write log.jsonl and ckpt.json.
+    Each image is tiled at its own size, as `predict` tiles it; out_dir
+    is made only once the data has loaded and checked."""
     pairs = load_pairs(data_dir)
     for _, labels in pairs:
         _check_train_labels(labels, cfg.num_classes)
-    h, w = pairs[0][0].shape[1:]
-    grid = plan_grid(h, w, cfg.patch, cfg.overlap)
+    grids = [plan_grid(*image.shape[1:], cfg.patch, cfg.overlap)
+             for image, _ in pairs]
+    os.makedirs(out_dir, exist_ok=True)
     settings = cfg.settings()
 
     rng = np.random.default_rng(cfg.seed)
@@ -85,9 +92,9 @@ def train_run(cfg: RunConfig, data_dir: str, out_dir: str,
             for _ in range(cfg.batch):
                 if not order:
                     order = list(order_rng.permutation(len(pairs)))
-                image, labels = pairs[order.pop()]
+                j = order.pop()
                 with GradTape() as tape:
-                    _, bd = forward_train(image, labels, grid, params, settings)
+                    _, bd = forward_train(*pairs[j], grids[j], params, settings)
                 tape.backward(bd.total_tensor)
                 totals += (bd.main, bd.aux_global, bd.aux_local,
                            bd.coupling, bd.total)
@@ -277,9 +284,9 @@ def ablate(cfg: RunConfig, data_dir: str, out_csv: str,
     return results
 
 
-def bench_memory(cfg: RunConfig | None = None,
-                 sides: tuple[int, int] = (128, 256)) -> dict:
-    """Transient inference footprint, patch vs whole-image, two sizes.
+def bench_memory(cfg: RunConfig | None = None) -> dict:
+    """Transient inference footprint, patch vs whole-image, at the two
+    BENCH_SIDES.
 
     Uses untrained weights (footprint does not depend on the values) and
     an extra pooling stage so the whole-image token count stays sane.
@@ -291,13 +298,13 @@ def bench_memory(cfg: RunConfig | None = None,
     params = ModelParams(backbone, cfg.num_classes,
                          rng=np.random.default_rng(cfg.seed))
     out: dict[str, dict] = {"patch": {}, "global": {}}
-    for side in sides:
+    for side in BENCH_SIDES:
         image = np.random.default_rng(cfg.seed + side).random((3, side, side))
         for mode in ("patch", "global"):
             report: dict = {}
             predict(cfg, params, image, mode, report)
             out[mode][str(side)] = report
-    lo, hi = (str(s) for s in sides)
+    lo, hi = (str(s) for s in BENCH_SIDES)
     out["patch_growth"] = (out["patch"][hi]["transient_bytes"]
                            / out["patch"][lo]["transient_bytes"])
     out["global_growth"] = (out["global"][hi]["transient_bytes"]

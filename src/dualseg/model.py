@@ -23,22 +23,25 @@ Per tile, the fused local tokens are mapped back to a feature map,
 upsampled to tile resolution and stitched onto the full canvas. A 3x3
 conv over the channel-concat of both (global resized up to canvas size)
 yields the aggregate logits. The conv is linear in its input channels,
-so training takes it as two halves and builds no concat: conv2d over
-the stitched local map, plus `resized_conv` of the global map, one taped
-op that folds the upsample into the conv. Training adds per-branch 1x1
-heads and combines three focal losses, each one taped op, with a
-Euclidean penalty tying the two branches' features together; only the
-penalty reads the resized [d, H, W] global map, which a training step
-builds once, and with lambda = 0 no gradient flows through it.
+so both passes take it as two halves, split once by
+`ModelParams.agg_halves`, and build no concat. `resized_conv`, one taped
+op, folds the bilinear upsample into the conv as three small GEMMs on
+the token-resolution map, equal to resize-then-conv to rounding, over
+the whole canvas or over one tile's window of it.
+
+Training convolves the stitched local map and adds `resized_conv` of the
+global map over the whole canvas. It adds per-branch 1x1 heads and
+combines three focal losses, each one taped op, with a Euclidean penalty
+tying the two branches' features together; only the penalty reads the
+resized [d, H, W] global map, which a training step builds once, and
+with lambda = 0 no gradient flows through it.
 
 Inference (`forward_infer`) runs the same tile pipeline without a tape,
 once per tile in patch mode (bounded transients) or on one full-size
-tile in global mode. The aggregation conv is linear in its input
-channels, so its local half is stitched in that one pass and its global
-half, which needs the global map, is added per tile afterwards. Neither
-half builds a resized map: `_resized_conv` folds the bilinear upsample
-into the conv as three small GEMMs on the token-resolution map, equal to
-resize-then-conv to rounding. A one-tile image gets the same arithmetic,
+tile in global mode. Each tile's local half is `resized_conv` of its
+local map, stitched in that one pass; its global half, which needs the
+global map, is `resized_conv` over the tile's window of the canvas,
+added per tile afterwards. A one-tile image gets the same arithmetic,
 and prediction, in both modes.
 """
 
@@ -164,8 +167,13 @@ class ModelParams:
         return (self.by_name[f"head_{branch}.kernel"],
                 self.by_name[f"head_{branch}.bias"])
 
-    def f_agg(self) -> tuple[Tensor, Tensor]:
-        return self.by_name["f_agg.kernel"], self.by_name["f_agg.bias"]
+    def agg_halves(self) -> tuple[Tensor, Tensor, Tensor]:
+        """The aggregation conv's global and local kernel halves, cut from
+        f_agg.kernel by `ad.narrow` (taped when a tape records), and its
+        bias: the one place that splits the kernel."""
+        k, d = self.by_name["f_agg.kernel"], self.backbone.d_model
+        return (ad.narrow(k, 1, 0, d), ad.narrow(k, 1, d, 2 * d),
+                self.by_name["f_agg.bias"])
 
     @classmethod
     def from_named(cls, backbone: BackboneConfig, num_classes: int,
@@ -429,11 +437,9 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
     s_glb = ad.conv2d(x_glb, head_g_k, padding=0, bias=head_g_b)
     labels_g = downsample_labels_nn(labels, *glb.seq.spatial)
 
-    agg_k, agg_b = params.f_agg()
-    d = params.backbone.d_model
-    s_agg = ad.add(ad.conv2d(x_loc_full, ad.narrow(agg_k, 1, d, 2 * d),
-                             padding=1, bias=agg_b),
-                   resized_conv(x_glb, ad.narrow(agg_k, 1, 0, d), (h, w)))
+    k_glb, k_loc, agg_b = params.agg_halves()
+    s_agg = ad.add(ad.conv2d(x_loc_full, k_loc, padding=1, bias=agg_b),
+                   resized_conv(x_glb, k_glb, (h, w)))
     glb_up = ad.bilinear_resize(x_glb, h, w)
 
     main_t = focal_loss(s_agg, labels, settings.focal_gamma)
@@ -454,15 +460,6 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
     return outputs, breakdown
 
 
-def _conv_taps(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """[O, kh, H, kw, W]: x [C, H, W] mixed by each tap of the kernel
-    [O, C, kh, kw] in one GEMM; the per-map step of `_resized_conv`."""
-    o, c, kh, kw = kernel.shape
-    z = kernel.transpose(0, 2, 3, 1).reshape(o * kh * kw, c) @ x.reshape(c, -1)
-    return np.ascontiguousarray(
-        z.reshape(o, kh, kw, *x.shape[1:]).transpose(0, 1, 3, 2, 4))
-
-
 @functools.lru_cache(maxsize=128)
 def _window_taps(src: int, dst: int, start: int, size: int,
                  k: int) -> np.ndarray:
@@ -478,42 +475,33 @@ def _window_taps(src: int, dst: int, start: int, size: int,
     return taps
 
 
-def _resized_conv(taps: np.ndarray, canvas: tuple[int, int],
-                  origin: tuple[int, int], size: tuple[int, int],
-                  bias: Optional[np.ndarray] = None) -> np.ndarray:
-    """conv2d(W, K, padding=k//2, bias) of the size[0] x size[1] window W
-    at `origin` of bilinear_resize(x, *canvas), zero past the canvas, from
-    taps = _conv_taps(x, K), without building the resized map.
+def resized_conv(x: Tensor, kernel: Tensor, canvas: tuple[int, int],
+                 origin: tuple[int, int] = (0, 0),
+                 size: Optional[tuple[int, int]] = None) -> Tensor:
+    """conv2d(W, kernel, padding=k//2) of the size[0] x size[1] window W
+    at `origin` of bilinear_resize(x, *canvas), zero past the canvas, as
+    one taped op that never builds the resized map. `size` defaults to
+    the whole canvas.
 
-    Channel mixing commutes with the resize; the conv's zero padding and
-    the canvas overhang are zero rows of the window's resize matrix R. So
-    with A[d] = R shifted by d - k//2, out[o] = sum over (dy, dx) of
-    A_y[dy] taps[o, dy, :, dx] A_x[dx]^T + b[o]: two more small GEMMs.
+    Channel mixing commutes with the resize, so one GEMM mixes x [C, h, w]
+    by every kernel tap into taps [O, kh, h, kw, w]. The conv's zero
+    padding and the canvas overhang are zero rows of the window's resize
+    matrix R, so with A[d] = R shifted by d - k//2, out[o] = sum over
+    (dy, dx) of A_y[dy] taps[o, dy, :, dx] A_x[dx]^T: two more small
+    GEMMs. Backward is the adjoint: the taps gradient is A_y^T g A_x,
+    then one GEMM each gives the map and kernel gradients.
     """
-    o, kh, sh, kw, sw = taps.shape
-    a_y = _window_taps(sh, canvas[0], origin[0], size[0], kh)
-    a_x = _window_taps(sw, canvas[1], origin[1], size[1], kw)
-    out = a_y @ (taps.reshape(o * kh * sh, kw * sw) @ a_x.T).reshape(
-        o, kh * sh, size[1])
-    if bias is not None:
-        out += bias[:, None, None]
-    return out
-
-
-def resized_conv(x: Tensor, kernel: Tensor, size: tuple[int, int]) -> Tensor:
-    """conv2d(bilinear_resize(x, *size), kernel, padding=k//2) as one
-    taped op: `_resized_conv` over the whole canvas, so the resized map is
-    never built. Backward is its adjoint: the taps gradient is
-    A_y^T g A_x, then one GEMM each gives the map and kernel gradients."""
     c, sh, sw = x.shape
     o, _, kh, kw = kernel.shape
+    size = canvas if size is None else size
+    a_y = _window_taps(sh, canvas[0], origin[0], size[0], kh)
+    a_x = _window_taps(sw, canvas[1], origin[1], size[1], kw)
     kmat = kernel.data.transpose(0, 2, 3, 1).reshape(o * kh * kw, c)
-    out = Tensor(_resized_conv(_conv_taps(x.data, kernel.data), size,
-                               (0, 0), size))
+    taps = (kmat @ x.data.reshape(c, -1)).reshape(o, kh, kw, sh, sw) \
+        .transpose(0, 1, 3, 2, 4).reshape(o * kh * sh, kw * sw)
+    out = Tensor(a_y @ (taps @ a_x.T).reshape(o, kh * sh, size[1]))
 
     def bw(g):
-        a_y = _window_taps(sh, size[0], 0, size[0], kh)
-        a_x = _window_taps(sw, size[1], 0, size[1], kw)
         g_taps = (a_y.T @ g).reshape(o * kh * sh, size[1]) @ a_x
         g_z = g_taps.reshape(o, kh, sh, kw, sw).transpose(0, 1, 3, 2, 4) \
             .reshape(o * kh * kw, sh * sw)
@@ -536,12 +524,13 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
     image as a single tile at full resolution (the tile is padded up to a
     stride multiple when needed). A tile of more than MAX_TILE_TOKENS
     tokens is refused before anything is allocated, and so is a global
-    branch input before its downsample. Each tile's local
-    branch runs once, since
+    branch input before its downsample. Each tile's local branch runs
+    once, since
     conv(concat[G, L], K) + b = conv(G, K[:, :d]) + conv(L, K[:, d:]) + b,
-    and `_resized_conv` gives each half without resizing its map. With
-    `mem_report`, the ledger's peak is reset once the full-size
-    accumulator exists, so the transient excludes input/output buffers.
+    and `resized_conv` gives each half of a tile without resizing its
+    map. With `mem_report`, the ledger's peak is reset once the full-size
+    accumulator and the kernel halves exist, so the transient excludes
+    input/output buffers.
     """
     from .memory import LEDGER
 
@@ -563,7 +552,7 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
     img_t = Tensor(image)
     acc = StitchAccumulator(params.num_classes, grid)
     d, p = params.backbone.d_model, grid.patch
-    agg_k, agg_b = params.f_agg()
+    k_glb, k_loc, agg_b = params.agg_halves()
     if mem_report is not None:
         mem_report["baseline_bytes"] = LEDGER.reset_peak()
 
@@ -573,17 +562,17 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
     for i in range(grid.n_tiles):
         fused_g, loc_map = _tile_forward(image, grid, i, glb, params, settings)
         fused_g_sum = fused_g.data if i == 0 else fused_g_sum + fused_g.data
-        taps = _conv_taps(loc_map.data, agg_k.data[:, d:])
-        acc.add(Tensor(_resized_conv(taps, (p, p), (0, 0), (p, p),
-                                     agg_b.data)).data, i)
-        del fused_g, loc_map  # free before the next tile allocates
+        s_loc = resized_conv(loc_map, k_loc, (p, p))
+        s_loc.data += agg_b.data[:, None, None]
+        acc.add(s_loc.data, i)
+        del fused_g, loc_map, s_loc  # free before the next tile allocates
 
     # global half: the coverage counts are final, so shares add directly
-    x_glb = (fused_g_sum * (1.0 / grid.n_tiles)).T.reshape(d, *glb.seq.spatial)
-    taps = _conv_taps(x_glb, agg_k.data[:, :d])
+    x_glb = Tensor((fused_g_sum * (1.0 / grid.n_tiles))
+                   .T.reshape(d, *glb.seq.spatial))
     for i, origin in enumerate(grid.origins):
-        acc.add_share(Tensor(_resized_conv(taps, (h, w), origin,
-                                           (p, p))).data, i)
+        acc.add_share(
+            resized_conv(x_glb, k_glb, (h, w), origin, (p, p)).data, i)
 
     if mem_report is not None:
         mem_report["peak_bytes"] = LEDGER.peak_bytes

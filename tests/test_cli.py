@@ -14,7 +14,8 @@ from dualseg.harness.checkpoint import load_checkpoint
 from dualseg.harness.config import RunConfig
 from dualseg.harness.train import MICRO
 from dualseg.model import TrainSettings
-from dualseg.harness.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
+from dualseg.harness.netpbm import (image_to_bytes, read_pgm, read_ppm,
+                                    write_pgm, write_ppm)
 
 MICRO_CFG = """
 # micro run for tests
@@ -132,6 +133,21 @@ class TestPipeline:
             == (tmp_path / "b/log.jsonl").read_bytes()
         assert (tmp_path / "a/ckpt.json").read_bytes() \
             == (tmp_path / "b/ckpt.json").read_bytes()
+
+    # each scene is tiled at its own size; both are drawn in two steps
+    def test_train_on_scenes_of_two_sizes(self, workspace, tmp_path, capsys):
+        for i, side in enumerate((64, 48)):
+            scene = data.generate_scene(np.random.default_rng(i), side)
+            write_ppm(tmp_path / f"s{i}.ppm", image_to_bytes(scene.image))
+            write_pgm(tmp_path / f"s{i}.labels.pgm",
+                      scene.labels.astype(np.uint8))
+        for seed in ("2", "3"):
+            assert main(["train", "--config", str(workspace / "run.cfg"),
+                         "--seed", seed, "--data", str(tmp_path),
+                         "--out", str(tmp_path / seed)]) == 0
+            log = (tmp_path / seed / "log.jsonl").read_text()
+            assert len(log.splitlines()) == 2
+        capsys.readouterr()
 
 
 class TestExitCodes:
@@ -303,6 +319,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "at least one seed" in err
         assert not out.exists()
+
+    def test_labels_of_another_size_are_3(self, workspace, tmp_path, capsys):
+        src = workspace / "data/train/scene_0000.ppm"
+        (tmp_path / "scene_0000.ppm").write_bytes(src.read_bytes())
+        write_pgm(tmp_path / "scene_0000.labels.pgm",
+                  np.zeros((48, 48), dtype=np.uint8))
+        assert main(["train", "--config", str(workspace / "run.cfg"),
+                     "--data", str(tmp_path), "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "scene_0000.labels.pgm: labels (48, 48) do not match" in err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_data_is_3(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nothing"),

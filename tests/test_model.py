@@ -95,7 +95,7 @@ def two_pass_infer_oracle(image, grid, params, settings):
     gh, gw = glb.seq.spatial
     x_glb = np.mean(fused, axis=0).T.reshape(params.backbone.d_model, gh, gw)
     glb_full = ad.bilinear_resize(Tensor(x_glb), h, w).data
-    agg_k, agg_b = params.f_agg()
+    agg_k, agg_b = params.by_name["f_agg.kernel"], params.by_name["f_agg.bias"]
     mean = np.zeros((params.num_classes, h, w))
     count = np.zeros((h, w))
     for i, (r, c) in enumerate(grid.origins):
@@ -630,8 +630,8 @@ class TestForwardInfer:
             seed=seed, num_classes=3, h=h, w=w, patch=16, overlap=4)
         assert grid.n_tiles > 1
         # a nonzero bias, so that adding it to both conv halves shows
-        params.f_agg()[1].data[:] = np.random.default_rng(seed).normal(
-            0.0, 0.1, 3)
+        params.by_name["f_agg.bias"].data[:] = \
+            np.random.default_rng(seed).normal(0.0, 0.1, 3)
         want = two_pass_infer_oracle(image, grid, params, settings)
         got = forward_infer(image, grid, params, settings, mode="patch")
         assert np.array_equal(got, want)
@@ -643,18 +643,43 @@ class TestForwardInfer:
         params, image, labels, grid, settings = micro_setup(
             seed=seed, num_classes=3, h=40, w=28, patch=16, overlap=4)
         assert grid.n_tiles == 6
-        maps, real_taps = [], model._conv_taps
+        maps, real = [], model.resized_conv
 
-        def taps(x, kernel):
-            maps.append(x)
-            return real_taps(x, kernel)
+        def resized_conv(x, *args):
+            maps.append(x.data)
+            return real(x, *args)
 
-        monkeypatch.setattr(model, "_conv_taps", taps)
+        monkeypatch.setattr(model, "resized_conv", resized_conv)
         forward_infer(image, grid, params, settings, mode="patch")
         out, _ = forward_train(image, labels, grid, params, settings)
-        # the last `_conv_taps` call is the global half's
-        assert maps[-1].shape == out.x_glb.shape
-        assert np.array_equal(maps[-1], out.x_glb.data)
+        # the last inference call is a global half's; training's one call
+        # takes x_glb itself
+        assert len(maps) == 2 * grid.n_tiles + 1
+        assert maps[-1] is out.x_glb.data
+        assert np.array_equal(maps[-2], out.x_glb.data)
+
+    # one op per aggregation half: 2 per tile untaped, 1 over the canvas
+    # in a taped training step
+    @pytest.mark.parametrize("mode", ["patch", "global"])
+    def test_resized_conv_calls(self, monkeypatch, mode):
+        params, image, labels, grid, settings = micro_setup(
+            h=40, w=28, patch=16, overlap=4)
+        calls, real = [], model.resized_conv
+
+        def resized_conv(*args):
+            out = real(*args)
+            calls.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(model, "resized_conv", resized_conv)
+        forward_infer(image, grid if mode == "patch" else None, params,
+                      settings, mode=mode)
+        n_tiles = grid.n_tiles if mode == "patch" else 1
+        assert calls == [False] * (2 * n_tiles)
+        calls.clear()
+        with GradTape():
+            forward_train(image, labels, grid, params, settings)
+        assert calls == [True]
 
     def test_patch_transient_flat_in_image_size(self):
         transients = []
@@ -685,7 +710,7 @@ class TestForwardInfer:
         assert transients[0] == transients[1] == transients[2]
 
     # the only resize is the global downsample, the only convs are the
-    # backbones': each aggregation half is `_resized_conv`
+    # backbones': each aggregation half is `resized_conv`
     @pytest.mark.parametrize("mode", ["patch", "global"])
     def test_one_resize_and_backbone_convs_only(self, monkeypatch, mode):
         params, image, _, grid, settings = micro_setup(
@@ -761,29 +786,26 @@ class TestForwardInfer:
 
 
 class TestResizedConv:
-    """`_resized_conv` against conv2d over a window of the built resize,
-    and the taped `resized_conv` against resize-then-conv."""
+    """`resized_conv` against conv2d over a window of the built resize,
+    and over the whole canvas against resize-then-conv."""
 
     @staticmethod
-    def crop_then_conv(x, kernel, bias, h, w, r, c, size):
+    def crop_then_conv(x, kernel, h, w, r, c, size):
         full = ad.bilinear_resize(Tensor(x), h, w).data
         hh, ww = min(size[0], h - r), min(size[1], w - c)
         win = np.zeros((x.shape[0], *size))
         win[:, :hh, :ww] = full[:, r:r + hh, c:c + ww]
-        return ad.conv2d(Tensor(win), Tensor(kernel), padding=1,
-                         bias=None if bias is None else Tensor(bias)).data
+        return ad.conv2d(Tensor(win), Tensor(kernel), padding=1).data
 
     @staticmethod
     def check(x, h, w, r, c, size, seed):
-        rng = np.random.default_rng(seed)
-        kernel = rng.standard_normal((3, x.shape[0], 3, 3))
-        taps = model._conv_taps(x, kernel)
-        for bias in (None, rng.standard_normal(3)):
-            got = model._resized_conv(taps, (h, w), (r, c), size, bias)
-            want = TestResizedConv.crop_then_conv(x, kernel, bias, h, w, r, c,
-                                                  size)
-            assert got.shape == (3, *size)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        kernel = np.random.default_rng(seed).standard_normal(
+            (3, x.shape[0], 3, 3))
+        got = model.resized_conv(Tensor(x), Tensor(kernel), (h, w), (r, c),
+                                 size).data
+        want = TestResizedConv.crop_then_conv(x, kernel, h, w, r, c, size)
+        assert got.shape == (3, *size)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     # origins into a 23x17 canvas, patch 8, from a 5x6 source: interior,
     # corner, flush with the bottom/right edges, and overhanging both
@@ -802,6 +824,12 @@ class TestResizedConv:
         x = np.random.default_rng(22).standard_normal(shape)
         for size in ((max(h, w), max(h, w)), (h, w)):
             self.check(x, h, w, 0, 0, size, seed=23)
+        # `size` defaults to the canvas
+        kernel = np.random.default_rng(23).standard_normal((3, shape[0], 3, 3))
+        np.testing.assert_array_equal(
+            model.resized_conv(Tensor(x), Tensor(kernel), (h, w)).data,
+            model.resized_conv(Tensor(x), Tensor(kernel), (h, w), (0, 0),
+                               (h, w)).data)
 
     def test_taped_op_matches_resize_then_conv(self):
         rng = np.random.default_rng(24)
@@ -832,14 +860,26 @@ class TestResizedConv:
                            [x, kernel])
         assert err < 1e-6
 
+    # the windowed backward a per-tile training pass would use: an
+    # interior window, and one overhanging a non-square canvas's corner
+    @pytest.mark.parametrize("origin", [(3, 2), (12, 13)])
+    def test_windowed_gradcheck(self, origin):
+        rng = np.random.default_rng(27)
+        x, kernel = rng.standard_normal((2, 4, 3)), rng.standard_normal((2, 2, 3, 3))
+        err = ad.gradcheck(
+            lambda a, k: model.resized_conv(a, k, (15, 18), origin, (6, 8)),
+            [x, kernel])
+        assert err < 1e-6
+
     def test_kernel_gradient_lands_in_its_half_of_f_agg(self):
         params, image, labels, grid, settings = micro_setup(seed=4)
         d = params.backbone.d_model
-        agg_k, _ = params.f_agg()
+        agg_k = params.by_name["f_agg.kernel"]
         x = Tensor(np.random.default_rng(26).standard_normal((d, 2, 2)),
                    requires_grad=True)
         with GradTape() as tape:
-            out = model.resized_conv(x, ad.narrow(agg_k, 1, 0, d), (16, 16))
+            k_glb, _, _ = params.agg_halves()
+            out = model.resized_conv(x, k_glb, (16, 16))
             tape.backward(ad.sum_all(out))
         assert agg_k.grad[:, :d].any() and not agg_k.grad[:, d:].any()
 
