@@ -52,12 +52,8 @@ class RunConfig:
                               tuple(self.downsample), self.d_model)
 
     def settings(self) -> TrainSettings:
-        return TrainSettings(global_size=self.global_size,
-                             use_self_attn=self.use_self_attn,
-                             use_mask=self.use_mask,
-                             focal_gamma=self.focal_gamma,
-                             coupling_lambda=self.coupling_lambda,
-                             mask_dilation=self.mask_dilation)
+        return TrainSettings(**{f.name: getattr(self, f.name)
+                                for f in dataclasses.fields(TrainSettings)})
 
     def validate(self) -> "RunConfig":
         def bad(key, why):

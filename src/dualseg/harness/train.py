@@ -22,7 +22,7 @@ from ..autodiff import GradTape
 from ..errors import DataError, UsageError
 from ..metrics import ConfusionMatrix
 from ..model import (BackboneConfig, ModelParams, TrainSettings,
-                     forward_infer, forward_train)
+                     check_train_grid, forward_infer, forward_train)
 from ..tiling import plan_grid
 from .checkpoint import load_checkpoint, make_optimizer, save_checkpoint
 from .config import RunConfig
@@ -65,13 +65,16 @@ def _check_train_labels(labels: np.ndarray, num_classes: int) -> None:
 def train_run(cfg: RunConfig, data_dir: str, out_dir: str,
               deterministic: bool = False) -> dict:
     """Run cfg.steps optimisation steps; write log.jsonl and ckpt.json.
-    Each image is tiled at its own size, as `predict` tiles it; out_dir
-    is made only once the data has loaded and checked."""
+    Each image is tiled at its own size, as `predict` tiles it, and one
+    smaller than the patch is refused; out_dir is made only once the
+    data has loaded and checked."""
     pairs = load_pairs(data_dir)
     for _, labels in pairs:
         _check_train_labels(labels, cfg.num_classes)
     grids = [plan_grid(*image.shape[1:], cfg.patch, cfg.overlap)
              for image, _ in pairs]
+    for grid in grids:
+        check_train_grid(grid, "train")
     os.makedirs(out_dir, exist_ok=True)
     settings = cfg.settings()
 

@@ -32,9 +32,11 @@ the whole canvas or over one tile's window of it.
 Training convolves the stitched local map and adds `resized_conv` of the
 global map over the whole canvas. It adds per-branch 1x1 heads and
 combines three focal losses, each one taped op, with a Euclidean penalty
-tying the two branches' features together; only the penalty reads the
-resized [d, H, W] global map, which a training step builds once, and
-with lambda = 0 no gradient flows through it.
+tying the two branches' features together. The penalty is one taped op
+too: it compares at canvas size through a bilinear upsample of the
+token-resolution global map that it computes itself, and recomputes in
+backward, so training holds no resized copy of the global map; with
+lambda = 0 its backward never runs.
 
 Inference (`forward_infer`) runs the same tile pipeline without a tape,
 once per tile in patch mode (bounded transients) or on one full-size
@@ -311,18 +313,40 @@ def focal_loss(logits: Tensor, targets: np.ndarray, gamma: float) -> Tensor:
 
 
 def coupling_penalty(x_loc: Tensor, x_glb: Tensor) -> Tensor:
-    """Euclidean (Frobenius) norm of the branch feature difference.
+    """Euclidean (Frobenius) norm of the difference between the local map
+    x_loc [d, H, W] and the global map x_glb [d, gh, gw] bilinearly
+    upsampled to H x W. The result is 0 exactly when they are equal.
 
-    Both maps are [d, H, W]; the caller passes the global map already
-    resized to the local map's size (forward_train builds it for this
-    penalty alone). The result is 0 exactly when the two tensors are
-    equal.
+    One taped op that owns its resize and saves no array: the forward
+    computes diff = x_loc - Ry · x_glb · Rxᵀ (Ry, Rx from
+    `_resize_matrix`, as `bilinear_resize` uses them) and returns
+    sqrt(sum(diff²)), the values of the chain sub, mul, sum_all, sqrt
+    over `bilinear_resize`. Backward, which runs only when the penalty
+    is weighted into the loss, recomputes diff (gradient checkpointing,
+    Chen et al. 2016): x_loc gets G = diff · g / max(root, 1e-12) and
+    x_glb the adjoint -Ryᵀ · G · Rx.
     """
-    if x_loc.ndim != 3 or x_glb.shape != x_loc.shape:
+    if x_loc.ndim != 3 or x_glb.ndim != 3 or x_glb.shape[0] != x_loc.shape[0]:
         raise DimensionError(
             f"coupling_penalty: incompatible {tuple(x_loc.shape)} vs {tuple(x_glb.shape)}")
-    diff = ad.sub(x_loc, x_glb)
-    return ad.sqrt(ad.sum_all(ad.mul(diff, diff)))
+    _, h, w = x_loc.shape
+    ry, rx = _resize_matrix(x_glb.shape[1], h), _resize_matrix(x_glb.shape[2], w)
+
+    def difference():
+        return x_loc.data - ry @ (x_glb.data @ rx.T)
+
+    diff = difference()
+    root = np.sqrt((diff * diff).sum())
+
+    def bw(g):
+        g_loc = difference()
+        g_loc *= float(g) / max(float(root), 1e-12)
+        if x_loc.requires_grad:
+            x_loc.accumulate_grad(g_loc)
+        if x_glb.requires_grad:
+            x_glb.accumulate_grad(ry.T @ (-g_loc @ rx))
+
+    return _maybe_record((x_loc, x_glb), Tensor(root), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +382,17 @@ def _check_tokens(what: str, side: int, stride: int, fix: str) -> None:
     if tokens > MAX_TILE_TOKENS:
         raise DimensionError(f"{what} has {tokens} tokens, more than "
                              f"{MAX_TILE_TOKENS}; {fix}")
+
+
+def check_train_grid(grid: TileGrid, caller: str) -> None:
+    """Refuse to train on an image smaller than the patch on either side:
+    its one tile is zero-padded, and the padded labels would be learned
+    as class 0. Inference keeps the padding, since it crops it away."""
+    if grid.image_h < grid.patch or grid.image_w < grid.patch:
+        raise DimensionError(
+            f"{caller}: a {grid.image_h}x{grid.image_w} image is smaller than "
+            f"the {grid.patch} px patch; training would learn its zero "
+            f"padding as class 0")
 
 
 def _branch_tokens(x: Tensor, params: ModelParams, branch: str,
@@ -406,10 +441,12 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
                   ) -> tuple[BranchOutputs, LossBreakdown]:
     """Full training pass over one image; returns outputs and the loss.
     Tiles and the global branch input are capped at MAX_TILE_TOKENS
-    tokens, as in `forward_infer`."""
+    tokens, as in `forward_infer`, and an image smaller than the patch
+    is refused (`check_train_grid`)."""
     image = _checked_image(image, grid, "forward_train")
     h, w = image.shape[1:]
     labels = _check_labels(labels, params.num_classes, (h, w))
+    check_train_grid(grid, "forward_train")
     _check_tokens(f"forward_train: a {grid.patch} px tile", grid.patch,
                   params.backbone.stride(skip_last_pool=True),
                   "use a smaller patch")
@@ -440,12 +477,11 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
     k_glb, k_loc, agg_b = params.agg_halves()
     s_agg = ad.add(ad.conv2d(x_loc_full, k_loc, padding=1, bias=agg_b),
                    resized_conv(x_glb, k_glb, (h, w)))
-    glb_up = ad.bilinear_resize(x_glb, h, w)
 
     main_t = focal_loss(s_agg, labels, settings.focal_gamma)
     aux_g_t = focal_loss(s_glb, labels_g, settings.focal_gamma)
     aux_l_t = ad.scale(loc_loss_sum, 1.0 / grid.n_tiles)
-    coupling_t = coupling_penalty(x_loc_full, glb_up)
+    coupling_t = coupling_penalty(x_loc_full, x_glb)
 
     lam = settings.coupling_lambda
     total_t = ad.add(ad.add(main_t, aux_g_t), aux_l_t)

@@ -332,6 +332,21 @@ class TestExitCodes:
         assert "scene_0000.labels.pgm: labels (48, 48) do not match" in err
         assert not (tmp_path / "run").exists()
 
+    def test_image_smaller_than_the_patch_is_3(self, workspace, tmp_path,
+                                               capsys):
+        # one zero-padded tile: the padding would be trained as class 0
+        rng = np.random.default_rng(0)
+        write_ppm(tmp_path / "small.ppm",
+                  image_to_bytes(rng.random((3, 24, 40))))
+        write_pgm(tmp_path / "small.labels.pgm",
+                  rng.integers(1, 3, size=(24, 40)).astype(np.uint8))
+        assert main(["train", "--config", str(workspace / "run.cfg"),
+                     "--data", str(tmp_path), "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "train: a 24x40 image is smaller than the 32 px patch" in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_data_is_3(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nothing"),
                      "--out", str(tmp_path / "o")]) == 3

@@ -67,6 +67,13 @@ def focal_chain(logits, targets, gamma):
     return ad.scale(ad.mean_all(per_pixel), -1.0)
 
 
+def coupling_chain(x_loc, x_glb):
+    """The op chain `coupling_penalty` fuses, as it was once built from
+    taped primitives over the global map resized to the canvas."""
+    diff = ad.sub(x_loc, ad.bilinear_resize(x_glb, *x_loc.shape[1:]))
+    return ad.sqrt(ad.sum_all(ad.mul(diff, diff)))
+
+
 def ce_oracle(logits, targets):
     return focal_oracle(logits, targets, 0.0)
 
@@ -319,11 +326,52 @@ class TestCouplingPenalty:
         want = float(np.sqrt(((a - b) ** 2).sum()))
         assert abs(coupling_penalty(Tensor(a), Tensor(b)).item() - want) <= 1e-12
 
-    def test_spatial_mismatch_rejected(self):
-        # the caller resizes the global map; a small one is not resized here
+    @staticmethod
+    def value_and_grads(fn, x_loc, x_glb, weight):
+        a = Tensor(x_loc, requires_grad=True)
+        b = Tensor(x_glb, requires_grad=True)
+        with GradTape() as tape:
+            out = fn(a, b)
+            tape.backward(ad.scale(out, weight))
+        return out.item(), a.grad, b.grad
+
+    # same size (identity resize), and a non-square token map upsampled
+    # to a non-square canvas; weight 0.15 is the default lambda
+    @pytest.mark.parametrize("glb_shape", [(3, 10, 14), (3, 3, 5)])
+    @pytest.mark.parametrize("weight", [1.0, 0.15])
+    def test_matches_op_chain_bitwise(self, glb_shape, weight):
+        rng = np.random.default_rng(10)
+        x_loc, x_glb = rng.standard_normal((3, 10, 14)), rng.standard_normal(glb_shape)
+        got = self.value_and_grads(coupling_penalty, x_loc, x_glb, weight)
+        want = self.value_and_grads(coupling_chain, x_loc, x_glb, weight)
+        assert got[0] == want[0]
+        for g, want_g in zip(got[1:], want[1:]):
+            assert g.tobytes() == want_g.tobytes()
+
+    def test_token_resolution_global_map_matches_chain(self):
+        # the penalty resizes a smaller global map itself
+        rng = np.random.default_rng(11)
+        x_loc, x_glb = Tensor(rng.random((2, 8, 8))), Tensor(rng.random((2, 4, 4)))
+        up = ad.bilinear_resize(x_glb, 8, 8).data
+        want = float(np.sqrt(((x_loc.data - up) ** 2).sum()))
+        assert coupling_penalty(x_loc, x_glb).item() == want
+
+    def test_gradcheck_non_square(self):
+        rng = np.random.default_rng(12)
+        x_loc, x_glb = rng.standard_normal((2, 7, 9)), rng.standard_normal((2, 3, 4))
+        assert ad.gradcheck(coupling_penalty, [x_loc, x_glb]) < 1e-6
+
+    def test_one_tape_record(self):
+        x_loc = Tensor(np.ones((2, 6, 6)), requires_grad=True)
+        x_glb = Tensor(np.zeros((2, 3, 3)), requires_grad=True)
+        with GradTape() as tape:
+            coupling_penalty(x_loc, x_glb)
+        assert len(tape._records) == 1
+
+    def test_ndim_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            coupling_penalty(Tensor(np.zeros((2, 8, 8))),
-                             Tensor(np.zeros((2, 4, 4))))
+            coupling_penalty(Tensor(np.zeros((2, 4, 4))),
+                             Tensor(np.zeros((2, 4))))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -426,7 +474,8 @@ class TestForwardTrain:
             grads[lam] = params.by_name["backbone_l.0.kernel"].grad.copy()
         assert not np.array_equal(grads[0.0], grads[0.15])
 
-    def test_builds_full_size_global_map_once(self, monkeypatch):
+    def test_no_canvas_size_resize_of_global_map(self, monkeypatch):
+        # the coupling penalty resizes inside its own op
         params, image, labels, grid, settings = micro_setup()
         targets = []
         real = ad.bilinear_resize
@@ -437,7 +486,7 @@ class TestForwardTrain:
 
         monkeypatch.setattr(ad, "bilinear_resize", counted)
         forward_train(image, labels, grid, params, settings)
-        assert targets.count((16, 16)) == 1
+        assert targets and (16, 16) not in targets
 
     def test_no_full_canvas_concat(self, monkeypatch):
         # the aggregation conv runs as two halves; nothing builds the
@@ -454,6 +503,15 @@ class TestForwardTrain:
             shapes = [out.shape for out, _ in tape._records]
         assert shapes and not [s for s in shapes
                                if len(s) == 3 and s[0] == 2 * d]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.15])
+    def test_only_canvas_size_map_on_tape_is_x_loc_full(self, lam):
+        params, image, labels, grid, settings = micro_setup(coupling_lambda=lam)
+        shape = (params.backbone.d_model, 16, 16)
+        with GradTape() as tape:
+            out, _ = forward_train(image, labels, grid, params, settings)
+            canvas = [o for o, _ in tape._records if o.shape == shape]
+        assert len(canvas) == 1 and canvas[0] is out.x_loc_full
 
     def test_coupling_is_distance_to_resized_global_map(self):
         params, image, labels, grid, settings = micro_setup(seed=3)
@@ -518,17 +576,39 @@ class TestForwardTrain:
             forward_train(image, labels, plan_grid(8, 8, 4, 2), params, settings)
 
 
+@pytest.fixture
+def refuse_work(monkeypatch):
+    """Fail any pass that resizes the image or cuts a tile."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a refused pass did work")
+
+    monkeypatch.setattr(ad, "bilinear_resize", fail)
+    monkeypatch.setattr(model, "extract_patch", fail)
+
+
+class TestTrainPaddedTile:
+    """An image smaller than the patch has one zero-padded tile: training
+    refuses it, inference crops the padding away."""
+
+    def test_refused_before_any_tile(self, refuse_work):
+        params, image, _, grid, settings = micro_setup(
+            num_classes=3, h=24, w=40, patch=32, overlap=8)
+        labels = np.random.default_rng(1).integers(1, 3, size=(24, 40))
+        with pytest.raises(DimensionError,
+                           match=r"^forward_train: a 24x40 image is smaller "
+                                 r"than the 32 px patch; training would "
+                                 r"learn its zero padding as class 0$"):
+            forward_train(image, labels, grid, params, settings)
+
+    def test_inference_keeps_padding(self):
+        params, image, _, grid, settings = micro_setup(
+            h=24, w=40, patch=32, overlap=8)
+        assert forward_infer(image, grid, params, settings).shape == (24, 40)
+
+
 class TestTrainTokenCap:
     """forward_train refuses what forward_infer refuses, before its first
     tile or the global downsample."""
-
-    @pytest.fixture
-    def refuse_work(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("a refused pass did work")
-
-        monkeypatch.setattr(ad, "bilinear_resize", fail)
-        monkeypatch.setattr(model, "extract_patch", fail)
 
     def test_tile_tokens_are_capped(self, monkeypatch, refuse_work):
         params, image, labels, grid, settings = micro_setup()
