@@ -4,17 +4,17 @@ Tokens are rows of a [n, d] matrix; a TokenSeq remembers which spatial
 grid they were flattened from (row-major) so attention masks can be
 built geometrically. Each attention call is one fused autodiff op,
 `autodiff.sdpa`, which scores scaled queries and exponentiates the
-scores in place, one block of query rows at a time, and normalises the
-output rows. Taped, it keeps the whole [n_q, n_k] probability matrix for
-backward; untaped, it reuses one block of at most
-`autodiff.SDPA_BLOCK_ROWS` rows. The allocation ledger counts that one
-buffer per call. A mask that is one row shared by every query drops the
-disallowed keys before scoring; a full mask replaces disallowed scores
-with a large negative constant before the softmax. Either way a
-fully-allowed mask leaves the result bit-identical to running without
-one, and rows stay normalised over the allowed keys. A mask row that
-allows no keys would make the softmax meaningless, so that is rejected
-at construction time rather than silently renormalised.
+scores in place, in blocks of at most `autodiff.SDPA_BLOCK_ROWS` query
+rows that reuse one buffer, and normalises the output rows. It runs the
+same way under a tape and keeps no scores; its backward rebuilds the
+[n_q, n_k] probability matrix while it runs. The allocation ledger
+counts the block buffer and that matrix. A mask that is one row shared
+by every query drops the disallowed keys before scoring; a full mask
+replaces disallowed scores with a large negative constant before the
+softmax. Either way a fully-allowed mask leaves the result bit-identical
+to running without one, and rows stay normalised over the allowed keys.
+A mask row that allows no keys would make the softmax meaningless, so
+that is rejected at construction time rather than silently renormalised.
 
 Attention here is single-head. Fusion runs both cross-directions
 independently and adds the attended values back onto the projected

@@ -10,15 +10,15 @@ each record, with the arrays its closure saved, and each non-leaf
 tensors no op produced) keep a gradient. A tape is single-use: backward
 on a consumed tape raises.
 
-Most ops are single numpy primitives. Attention is one fused op, `sdpa`,
-that scores blocks of pre-scaled query rows against the kept keys,
-exponentiates them in place and divides the output rows, not the
-scores, by the row sums. When the op is taped one block holds the whole
-probability matrix, which backward reads; otherwise one block-sized
-buffer is reused, so untaped attention holds at most SDPA_BLOCK_ROWS
-rows of scores. Taped and untaped calls give the same output bit for
-bit; both agree with the chain of primitive ops it stands for to
-rounding.
+Most ops are single numpy primitives. An op's backward closure keeps
+its inputs and small arrays, and recomputes what is large and cheap to
+rebuild from them. Attention is one fused op, `sdpa`, that scores
+blocks of at most SDPA_BLOCK_ROWS pre-scaled query rows against the
+kept keys in one reused buffer, exponentiates them in place and divides
+the output rows, not the scores, by the row sums; its backward rebuilds
+the probability matrix bit for bit. It agrees with the chain of
+primitive ops it stands for to rounding. `conv2d` is one GEMM over an
+im2col that its backward rebuilds for the kernel gradient.
 
 The spatial resamples, `bilinear_resize` and `avg_pool2d`, are linear
 and separable: each is out = My · x · Mxᵀ per channel, over memoised,
@@ -46,10 +46,10 @@ from .memory import LEDGER
 # below any real score that exp() of it underflows to exactly 0.
 MASKED_SCORE = -1e9
 
-# Query rows per block of sdpa's forward when no backward needs the whole
-# probability matrix; a row count, so the block still grows with n_k. At
-# 64 rows the 2304-key block of whole-image inference is 1.2 MB, small
-# enough to stay in a 2 MB per-core L2 between its passes.
+# Query rows per block of sdpa's forward, taped or not; a row count, so
+# the block still grows with n_k. At 64 rows the 2304-key block of
+# whole-image inference is 1.2 MB, small enough to stay in a 2 MB
+# per-core L2 between its passes.
 SDPA_BLOCK_ROWS = 64
 
 # Backward frees each record's arrays as it replays it, newest first, so
@@ -186,15 +186,10 @@ class GradTape:
 _ACTIVE_TAPE: Optional[GradTape] = None
 
 
-def _recording(inputs: Sequence[Tensor]) -> bool:
-    """Whether an op on `inputs` is taped: a tape is active and an input
-    tracks gradients."""
-    return _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
-
-
 def _maybe_record(inputs: Sequence[Tensor], output: Tensor,
                   backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    if _recording(inputs):
+    """Tape `output` when a tape is active and an input tracks gradients."""
+    if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
         output.requires_grad = True
         _ACTIVE_TAPE.record(output, backward_fn)
     return output
@@ -458,17 +453,20 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor,
     the scores where it is False to MASKED_SCORE, whose probability
     underflows to exactly 0, so their gradient is 0 too.
 
-    The queries are scaled by 1/sqrt(d) before scoring. Each block of
-    query rows is scored into a buffer that a Tensor owns, and turned
-    in place into e = exp(s - rowmax); the output rows are (e v) / z
-    with z the row sums of e, so no pass divides the scores. Each row
-    sees all its keys, so the softmax is exact, and a row's arithmetic
-    does not depend on the block it falls in. Untaped, blocks of at most
-    SDPA_BLOCK_ROWS rows reuse one buffer; taped, one block holds all
-    rows, and e is divided by z in place to keep the probabilities p
-    that backward reads. The ledger counts that one buffer either way.
-    The result agrees with the op chain transpose, matmul, scale,
-    masked_fill, softmax_rows, matmul to rounding, not bitwise.
+    The queries are scaled by 1/sqrt(d) before scoring. Blocks of at
+    most SDPA_BLOCK_ROWS query rows are scored in turn into one buffer
+    that a Tensor owns, and turned in place into e = exp(s - rowmax);
+    the output rows are (e v) / z with z the row sums of e, so no pass
+    divides the scores. Each row sees all its keys, so the softmax is
+    exact, and a row's arithmetic does not depend on the block it falls
+    in. Taped or not, the forward is this one loop and keeps no scores:
+    backward rebuilds the probabilities p = e / z of all rows as one
+    block, with the forward's own expressions, into one [n_q, n_k]
+    Tensor that lives only while it runs (the recompute of
+    FlashAttention, gradient checkpointing at op level). The ledger
+    counts the block buffer and that p. The result agrees with the op
+    chain transpose, matmul, scale, masked_fill, softmax_rows, matmul
+    to rounding, not bitwise.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1] \
             or k.shape[0] != v.shape[0]:
@@ -493,25 +491,26 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor,
     c = 1.0 / math.sqrt(q.shape[1])
     qc = q.data * c
     kt = np.ascontiguousarray(k_s.T)
-    # backward reads all of p; untaped, one block's rows are reused
-    taped = _recording((q, k, v))
-    block = max(n_q, 1) if taped else SDPA_BLOCK_ROWS
-    p = Tensor(np.empty((min(n_q, block), kt.shape[1])))
-    out = Tensor(np.empty((n_q, v.shape[1])))
-    for r0 in range(0, n_q, block):
-        r1 = min(r0 + block, n_q)
-        s = p.data[:r1 - r0]
+
+    def exp_scores(r0, s):
+        """Turn `s` into e = exp(scores - rowmax) of query rows r0.. and
+        return the row sums z."""
+        r1 = r0 + s.shape[0]
         np.matmul(qc[r0:r1], kt, out=s)
         if keep is not None:
             np.copyto(s, MASKED_SCORE, where=~keep[r0:r1])
         s -= s.max(axis=1, keepdims=True)
         np.exp(s, out=s)
-        z = s.sum(axis=1, keepdims=True)
-        rows = out.data[r0:r1]
+        return s.sum(axis=1, keepdims=True)
+
+    block = Tensor(np.empty((min(n_q, SDPA_BLOCK_ROWS), kt.shape[1])))
+    out = Tensor(np.empty((n_q, v.shape[1])))
+    for r0 in range(0, n_q, SDPA_BLOCK_ROWS):
+        s = block.data[:min(SDPA_BLOCK_ROWS, n_q - r0)]
+        z = exp_scores(r0, s)
+        rows = out.data[r0:r0 + s.shape[0]]
         np.matmul(s, v_s, out=rows)
         rows /= z
-        if taped:
-            s /= z
 
     def scatter(g_s):
         """Key-row gradients of the kept keys, zero rows elsewhere."""
@@ -522,6 +521,9 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor,
         return g
 
     def bw(g):
+        # all rows as one block: each row is the forward's e / z, bit for bit
+        p = Tensor(np.empty((n_q, kt.shape[1])))
+        p.data /= exp_scores(0, p.data)
         if v.requires_grad:
             v.accumulate_grad(scatter(p.data.T @ g))
         if not (q.requires_grad or k.requires_grad):
@@ -542,19 +544,37 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor,
 # spatial ops on [C, H, W] maps
 
 
+def _im2col(a: np.ndarray, kh: int, kw: int, ph: int, pw: int,
+            oh: int, ow: int) -> np.ndarray:
+    """Channel-major im2col [C*kh*kw, oh*ow] of the first oh x ow kh x kw
+    windows of [C, H, W] `a` zero-padded by ph rows and pw columns per
+    side, or cropped by -ph and -pw where they are negative. The caller
+    sizes oh and ow so that every window lies inside the padded map."""
+    c, h, w = a.shape
+    qh, qw = max(ph, 0), max(pw, 0)
+    ap = np.zeros((c, h + 2 * qh, w + 2 * qw), dtype=a.dtype)
+    ap[:, qh:qh + h, qw:qw + w] = a
+    # entry [c, i, j, y, x] is ap[c, qh - ph + y + i, qw - pw + x + j]
+    win = np.lib.stride_tricks.as_strided(
+        ap[:, qh - ph:, qw - pw:], (c, kh, kw, oh, ow),
+        ap.strides + ap.strides[1:], writeable=False)
+    return win.reshape(c * kh * kw, oh * ow)
+
+
 def conv2d(x: Tensor, kernel: Tensor, padding: int = 0,
            bias: Optional[Tensor] = None) -> Tensor:
     """Cross-correlation of [C,H,W] with [O,C,kh,kw], zero padding.
 
     Output is [O, H + 2*padding - kh + 1, W + 2*padding - kw + 1]; the
     kernel (any size >= 1) must fit inside the padded input. Forward is
-    one GEMM, kernel [O, C*kh*kw] times a channel-major im2col
-    [C*kh*kw, oh*ow] of contiguous rows, into a fresh output that owns
-    its buffer so the ledger counts it. Backward gives the kernel and
-    bias gradients from the same patches, and the input gradient as one
-    GEMM of the flipped kernel, reshaped to [C, O*kh*kw], with the
-    im2col of the output gradient zero-padded by kh-1-padding and
-    kw-1-padding (cropped instead where padding exceeds k-1).
+    one GEMM, kernel [O, C*kh*kw] times the `_im2col` [C*kh*kw, oh*ow]
+    of the input, into a fresh output that owns its buffer so the ledger
+    counts it. Backward keeps no im2col: it rebuilds the input's for the
+    kernel gradient, takes the bias gradient from the output gradient,
+    and gives the input gradient as one GEMM of the flipped kernel,
+    reshaped to [C, O*kh*kw], with the `_im2col` of the output gradient
+    padded by kh-1-padding and kw-1-padding (a crop where padding
+    exceeds k-1).
     """
     if x.ndim != 3 or kernel.ndim != 4:
         raise DimensionError(
@@ -575,13 +595,10 @@ def conv2d(x: Tensor, kernel: Tensor, padding: int = 0,
     if bias is not None and bias.shape != (o,):
         raise DimensionError(f"conv2d: bias shape {tuple(bias.shape)} != ({o},)")
 
-    xp = np.zeros((c, hp, wp), dtype=x.data.dtype)
-    xp[:, padding:padding + h, padding:padding + w] = x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, oh * ow)
-    kmat = kernel.data.reshape(o, c * kh * kw)
     y = np.empty((o, oh, ow), dtype=x.data.dtype)
-    np.matmul(kmat, cols, out=y.reshape(o, oh * ow))
+    np.matmul(kernel.data.reshape(o, c * kh * kw),
+              _im2col(x.data, kh, kw, padding, padding, oh, ow),
+              out=y.reshape(o, oh * ow))
     if bias is not None:
         y += bias.data[:, None, None]
     out = Tensor(y)
@@ -589,20 +606,12 @@ def conv2d(x: Tensor, kernel: Tensor, padding: int = 0,
     def bw(g):
         gmat = g.reshape(o, oh * ow)
         if kernel.requires_grad:
+            cols = _im2col(x.data, kh, kw, padding, padding, oh, ow)
             kernel.accumulate_grad((gmat @ cols.T).reshape(o, c, kh, kw))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(gmat.sum(axis=1))
         if x.requires_grad:
-            # Full correlation of g with the flipped kernel, as one GEMM:
-            # pad g by k-1-padding per axis (or crop the windows where
-            # padding > k-1) so it yields exactly h x w windows.
-            qh, qw = max(kh - 1 - padding, 0), max(kw - 1 - padding, 0)
-            gp = np.zeros((o, oh + 2 * qh, ow + 2 * qw), dtype=g.dtype)
-            gp[:, qh:qh + oh, qw:qw + ow] = g
-            sh, sw = padding + qh - (kh - 1), padding + qw - (kw - 1)
-            gwin = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(1, 2))
-            gcols = gwin[:, sh:sh + h, sw:sw + w].transpose(0, 3, 4, 1, 2) \
-                .reshape(o * kh * kw, h * w)
+            gcols = _im2col(g, kh, kw, kh - 1 - padding, kw - 1 - padding, h, w)
             kflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) \
                 .reshape(c, o * kh * kw)
             x.accumulate_grad((kflip @ gcols).reshape(c, h, w))

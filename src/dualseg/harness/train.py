@@ -67,7 +67,8 @@ def train_run(cfg: RunConfig, data_dir: str, out_dir: str,
     """Run cfg.steps optimisation steps; write log.jsonl and ckpt.json.
     Each image is tiled at its own size, as `predict` tiles it, and one
     smaller than the patch is refused; out_dir is made only once the
-    data has loaded and checked."""
+    data has loaded and checked. A step whose loss is not finite ends
+    the run with DataError before it updates, logs or checkpoints."""
     pairs = load_pairs(data_dir)
     for _, labels in pairs:
         _check_train_labels(labels, cfg.num_classes)
@@ -101,6 +102,9 @@ def train_run(cfg: RunConfig, data_dir: str, out_dir: str,
                 tape.backward(bd.total_tensor)
                 totals += (bd.main, bd.aux_global, bd.aux_local,
                            bd.coupling, bd.total)
+            if not np.isfinite(totals[4]):
+                raise DataError(f"train: step {step} has loss {totals[4]}; "
+                                f"the run diverged, try lower learning rates")
             if cfg.batch > 1:
                 for t in params.named().values():
                     if t.grad is not None:
@@ -116,7 +120,7 @@ def train_run(cfg: RunConfig, data_dir: str, out_dir: str,
                 print(f"step {step} wall_ms {wall_ms:.1f}", file=sys.stderr)
             else:
                 line["wall_ms"] = round(wall_ms, 3)
-            log.write(json.dumps(line) + "\n")
+            log.write(json.dumps(line, allow_nan=False) + "\n")
             last = line
             if cfg.ckpt_every and (step + 1) % cfg.ckpt_every == 0:
                 save_checkpoint(ckpt_path, cfg, params, opt)

@@ -347,6 +347,29 @@ class TestExitCodes:
         assert "train: a 24x40 image is smaller than the 32 px patch" in err
         assert not (tmp_path / "run").exists()
 
+    def test_diverging_run_is_3(self, workspace, tmp_path, capsys):
+        # the first update throws the weights to ~1e300, so step 1's loss
+        # is not finite
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MICRO_CFG.replace("steps = 2", "steps = 6")
+                       + "lr_global = 1e300\nlr_local = 1e300\nckpt_every = 1\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--deterministic",
+                     "--data", str(workspace / "data/train"),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+
+        def refuse(name):
+            raise AssertionError(f"log line holds {name}")
+
+        logged = [json.loads(line, parse_constant=refuse)
+                  for line in (out / "log.jsonl").read_text().splitlines()]
+        assert [line["step"] for line in logged] == [0]
+        assert err.splitlines()[-1].startswith("error: train: step 1 has loss ")
+        # the only checkpoint is of step 0, and it loads
+        load_checkpoint(str(out / "ckpt.json"))
+
     def test_missing_data_is_3(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "nothing"),
                      "--out", str(tmp_path / "o")]) == 3

@@ -128,7 +128,7 @@ class TestTensorWiring:
         assert LEDGER.current_bytes - base == out.data.nbytes
 
     @pytest.mark.parametrize("taped", [False, True])
-    def test_sdpa_streams_scores_unless_taped(self, taped):
+    def test_sdpa_streams_scores(self, taped):
         n_q, n_k = 2 * ad.SDPA_BLOCK_ROWS + 3, 50
         rng = np.random.default_rng(2)
         q, k, v = (Tensor(rng.standard_normal(s), requires_grad=taped)
@@ -137,9 +137,25 @@ class TestTensorWiring:
         base = LEDGER.reset_peak()
         with ad.GradTape() if taped else contextlib.nullcontext():
             out = ad.sdpa(q, k, v)
-        # untaped: one block of rows is reused; taped: backward needs all of p
-        rows = n_q if taped else ad.SDPA_BLOCK_ROWS
-        assert LEDGER.peak_bytes - base == rows * n_k * 8 + out.data.nbytes
+        # one block of rows is reused, taped or not
+        assert LEDGER.peak_bytes - base == \
+            ad.SDPA_BLOCK_ROWS * n_k * 8 + out.data.nbytes
+
+    def test_sdpa_backward_rebuilds_one_probability_matrix_at_a_time(self):
+        n_q, n_k = 2 * ad.SDPA_BLOCK_ROWS + 3, 50
+        rng = np.random.default_rng(3)
+        q, k, v = (Tensor(rng.standard_normal(s), requires_grad=True)
+                   for s in ((n_q, 3), (n_k, 3), (n_k, 3)))
+        with ad.GradTape() as tape:
+            # two calls, so two backwards each rebuild their probabilities
+            out = ad.sdpa(ad.sdpa(q, k, v), k, v)
+            loss = ad.sum_all(out)
+        gc.collect()
+        base = LEDGER.reset_peak()
+        tape.backward(loss)
+        assert LEDGER.peak_bytes - base == n_q * n_k * 8
+        gc.collect()
+        assert LEDGER.current_bytes <= base
 
     def test_global_mode_does_not_hold_the_score_matrix(self):
         cfg = RunConfig().validate()

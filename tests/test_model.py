@@ -513,6 +513,42 @@ class TestForwardTrain:
             canvas = [o for o, _ in tape._records if o.shape == shape]
         assert len(canvas) == 1 and canvas[0] is out.x_loc_full
 
+    def test_conv_and_attention_backwards_keep_no_large_array(self):
+        # conv2d rebuilds its im2col and sdpa its probabilities in
+        # backward; a 4x4 global token grid makes p larger than q, k, v
+        params, image, labels, grid, settings = micro_setup(global_size=16)
+        inputs = {"conv2d": ("x", "kernel", "bias"), "sdpa": ("q", "k", "v")}
+
+        def held(fn):
+            """Values in the closure of fn and of the functions it holds."""
+            for name, cell in zip(fn.__code__.co_freevars, fn.__closure__):
+                value = cell.cell_contents
+                if hasattr(value, "__closure__"):
+                    yield from held(value)
+                else:
+                    yield name, value
+
+        checked = set()
+        with GradTape() as tape:
+            forward_train(image, labels, grid, params, settings)
+            records = list(tape._records)
+        for _, bw in records:
+            op = bw.__qualname__.removesuffix(".<locals>.bw")
+            if op not in inputs:
+                continue
+            values = dict(held(bw))
+            limit = max(values[n].data.nbytes for n in inputs[op]
+                        if values.get(n) is not None)
+            for name, value in values.items():
+                if isinstance(value, Tensor):
+                    value = value.data
+                elif not (isinstance(value, np.ndarray)
+                          and value.flags.writeable):
+                    continue
+                assert value.nbytes <= limit, (op, name, value.shape)
+            checked.add(op)
+        assert checked == set(inputs)
+
     def test_coupling_is_distance_to_resized_global_map(self):
         params, image, labels, grid, settings = micro_setup(seed=3)
         out, bd = forward_train(image, labels, grid, params, settings)
