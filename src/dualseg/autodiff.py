@@ -1,8 +1,12 @@
 """Dense tensors with reverse-mode differentiation.
 
-A Tensor wraps a numpy array, float64 throughout. Differentiable
-operations are plain functions; when a GradTape is active and an input
-tracks gradients, the operation appends a record to the tape.
+A Tensor wraps a numpy array of floats. The dtype travels with the
+data (`as_float`): a float32 array stays float32 and anything else
+becomes float64, and every op allocates its outputs and buffers in its
+inputs' dtype. Inference hands the ops float32 data, training and
+`gradcheck` float64. Differentiable operations are plain functions;
+when a GradTape is active and an input tracks gradients, the operation
+appends a record to the tape.
 `GradTape.backward` replays the records in exact reverse execution
 order, accumulating `.grad` arrays on every tracked tensor. It releases
 each record, with the arrays its closure saved, and each non-leaf
@@ -24,6 +28,10 @@ The spatial resamples, `bilinear_resize` and `avg_pool2d`, are linear
 and separable: each is out = My · x · Mxᵀ per channel, over memoised,
 read-only 1-D matrices (`_resize_matrix`, `_pool_matrix`), and its
 backward is the adjoint gx = Myᵀ · g · Mx over the same two matrices.
+The matrices are memoised per dtype (`_matrix_memo`), so a float32 map
+never meets a float64 matrix: under NEP 50 that would promote the whole
+product to float64. A numpy float64 scalar does the same, so scale
+factors stay Python floats.
 
 All public operations keep finite inputs finite (softmax subtracts the
 row max, logarithms clamp their argument), and everything is serial and
@@ -66,15 +74,31 @@ except (AttributeError, OSError):
     pass
 
 
+_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+
+
+def as_float(data) -> np.ndarray:
+    """`data` as a float array: float32 numpy data stays float32, and
+    anything else (lists, Python numbers, ints, bools, float16, float64)
+    becomes float64. It copies only to convert. Every Tensor's dtype
+    comes from here."""
+    arr = np.asarray(data)
+    # training's float64 is decided by identity, the cheapest test
+    if arr.dtype is _F64 or arr.dtype == _F32:
+        return arr
+    return arr.astype(_F64)
+
+
 class Tensor:
-    """Dense n-dimensional array, row-major, optionally gradient-tracked."""
+    """Dense n-dimensional float32 or float64 array (`as_float`),
+    row-major, optionally gradient-tracked."""
 
     __slots__ = ("_owned_bytes", "data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         # set first: __del__ runs even when the conversion below raises
         self._owned_bytes = 0
-        arr = np.asarray(data, dtype=np.float64)
+        arr = as_float(data)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
@@ -464,7 +488,8 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor,
     block, with the forward's own expressions, into one [n_q, n_k]
     Tensor that lives only while it runs (the recompute of
     FlashAttention, gradient checkpointing at op level). The ledger
-    counts the block buffer and that p. The result agrees with the op
+    counts the block buffer and that p. The block, the output and p are
+    allocated in q's dtype. The result agrees with the op
     chain transpose, matmul, scale, masked_fill, softmax_rows, matmul
     to rounding, not bitwise.
     """
@@ -503,8 +528,9 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor,
         np.exp(s, out=s)
         return s.sum(axis=1, keepdims=True)
 
-    block = Tensor(np.empty((min(n_q, SDPA_BLOCK_ROWS), kt.shape[1])))
-    out = Tensor(np.empty((n_q, v.shape[1])))
+    dtype = q.data.dtype
+    block = Tensor(np.empty((min(n_q, SDPA_BLOCK_ROWS), kt.shape[1]), dtype))
+    out = Tensor(np.empty((n_q, v.shape[1]), dtype))
     for r0 in range(0, n_q, SDPA_BLOCK_ROWS):
         s = block.data[:min(SDPA_BLOCK_ROWS, n_q - r0)]
         z = exp_scores(r0, s)
@@ -516,13 +542,13 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor,
         """Key-row gradients of the kept keys, zero rows elsewhere."""
         if kept is None:
             return g_s
-        g = np.zeros((n_k, g_s.shape[1]))
+        g = np.zeros((n_k, g_s.shape[1]), g_s.dtype)
         g[kept] = g_s
         return g
 
     def bw(g):
         # all rows as one block: each row is the forward's e / z, bit for bit
-        p = Tensor(np.empty((n_q, kt.shape[1])))
+        p = Tensor(np.empty((n_q, kt.shape[1]), dtype))
         p.data /= exp_scores(0, p.data)
         if v.requires_grad:
             v.accumulate_grad(scatter(p.data.T @ g))
@@ -620,15 +646,35 @@ def conv2d(x: Tensor, kernel: Tensor, padding: int = 0,
     return _maybe_record(inputs, out, bw)
 
 
-@functools.lru_cache(maxsize=128)
+def _matrix_memo(build):
+    """Memoise `build(*sizes)`, a float64 matrix, per (sizes, dtype).
+
+    `dtype` (float64 by default) is a keyword. Each entry is built in
+    float64 and cast to its dtype once, so a float32 entry holds the
+    float64 weights rounded, and a float32 pass reads no float64 matrix.
+    Entries are read-only, since every caller shares them; a tile grid
+    resizes between the same few sizes on every image.
+    """
+    @functools.lru_cache(maxsize=128)
+    def cached(sizes, dtype):
+        m = build(*sizes).astype(dtype, copy=False)
+        m.flags.writeable = False
+        return m
+
+    @functools.wraps(build)
+    def memo(*sizes, dtype=_F64):
+        return cached(sizes, np.dtype(dtype))
+
+    return memo
+
+
+@_matrix_memo
 def _resize_matrix(src: int, dst: int) -> np.ndarray:
     """[dst, src] matrix of the 1-D bilinear interpolation along one axis.
 
     Half-pixel centres, clamped to the edge: row i puts weight 1 - w on
     source index i0 and w on i0 + 1 (clamped too, so where i0 == i1 both
-    weights land in one entry). Memoised, since every tile resizes
-    between the same few sizes; the matrix is shared between callers and
-    therefore read-only.
+    weights land in one entry). Memoised per dtype (`_matrix_memo`).
     """
     rows = np.arange(dst)
     s = np.clip((rows + 0.5) * (src / dst) - 0.5, 0.0, src - 1.0)
@@ -637,29 +683,27 @@ def _resize_matrix(src: int, dst: int) -> np.ndarray:
     m = np.zeros((dst, src))
     m[rows, i0] += 1.0 - w
     m[rows, np.minimum(i0 + 1, src - 1)] += w
-    m.flags.writeable = False
     return m
 
 
-@functools.lru_cache(maxsize=128)
+@_matrix_memo
 def _pool_matrix(n: int, f: int) -> np.ndarray:
     """[n // f, n] matrix of the 1-D average of each run of f samples:
-    row i holds 1/f at columns i*f .. i*f + f - 1. Memoised and
-    read-only, like `_resize_matrix`."""
-    m = np.kron(np.eye(n // f), np.full(f, 1.0 / f))
-    m.flags.writeable = False
-    return m
+    row i holds 1/f at columns i*f .. i*f + f - 1. Memoised per dtype
+    (`_matrix_memo`)."""
+    return np.kron(np.eye(n // f), np.full(f, 1.0 / f))
 
 
 @functools.lru_cache(maxsize=128)
-def _resize_reads(src: int, dst: int
+def _resize_reads(src: int, dst: int, dtype: np.dtype = _F64
                   ) -> tuple[slice | np.ndarray, np.ndarray]:
     """(index, matrix) for a forward resize along one axis: the source
-    indices `_resize_matrix(src, dst)` puts a weight on and its columns
-    at them. A shrink weights only a few sources per output, so it reads
-    a subset; when every source is read the index is a full slice and the
-    matrix is `_resize_matrix` itself. Memoised and read-only."""
-    m = _resize_matrix(src, dst)
+    indices `_resize_matrix(src, dst, dtype=dtype)` puts a weight on and
+    its columns at them. A shrink weights only a few sources per output,
+    so it reads a subset; when every source is read the index is a full
+    slice and the matrix is `_resize_matrix` itself. Memoised and
+    read-only."""
+    m = _resize_matrix(src, dst, dtype=dtype)
     read = np.flatnonzero(m.any(axis=0))
     if read.size == src:
         return slice(None), m
@@ -680,7 +724,8 @@ def avg_pool2d(x: Tensor, factor: int = 2) -> Tensor:
     f = int(factor)
     if f < 1 or h % f or w % f:
         raise DimensionError(f"avg_pool2d: dims {h}x{w} not divisible by factor {f}")
-    py, px = _pool_matrix(h, f), _pool_matrix(w, f)
+    dtype = x.data.dtype
+    py, px = _pool_matrix(h, f, dtype=dtype), _pool_matrix(w, f, dtype=dtype)
     out = Tensor(py @ (x.data @ px.T))
 
     def bw(g):
@@ -706,8 +751,10 @@ def bilinear_resize(x: Tensor, target_h: int, target_w: int) -> Tensor:
     if th < 1 or tw < 1:
         raise DimensionError(f"bilinear_resize: non-positive target {th}x{tw}")
     h, w = x.shape[1:]
-    ry, rx = _resize_matrix(h, th), _resize_matrix(w, tw)
-    (iy, my), (ix, mx) = _resize_reads(h, th), _resize_reads(w, tw)
+    dtype = x.data.dtype
+    ry, rx = _resize_matrix(h, th, dtype=dtype), _resize_matrix(w, tw, dtype=dtype)
+    iy, my = _resize_reads(h, th, dtype=dtype)
+    ix, mx = _resize_reads(w, tw, dtype=dtype)
     out = Tensor(my @ (x.data[:, iy][:, :, ix] @ mx.T))
 
     def bw(g):

@@ -97,9 +97,14 @@ def train_run(cfg: RunConfig, data_dir: str, out_dir: str,
                 if not order:
                     order = list(order_rng.permutation(len(pairs)))
                 j = order.pop()
-                with GradTape() as tape:
-                    _, bd = forward_train(*pairs[j], grids[j], params, settings)
-                tape.backward(bd.total_tensor)
+                # a diverging step overflows; the finiteness check below
+                # ends the run with one line, so numpy's warnings would
+                # only repeat it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    with GradTape() as tape:
+                        _, bd = forward_train(*pairs[j], grids[j], params,
+                                              settings)
+                    tape.backward(bd.total_tensor)
                 totals += (bd.main, bd.aux_global, bd.aux_local,
                            bd.coupling, bd.total)
             if not np.isfinite(totals[4]):

@@ -17,7 +17,7 @@ tokens for fusion, and `_tile_forward` runs one tile's local branch
 (`_branch_tokens`, as the global branch does) and its cross-attention.
 Both sum the tiles' fused global tokens in tile order and scale the sum
 once by 1 / n_tiles, so inference aggregates training's global map bit
-for bit.
+for bit when training is fed the same float32 image and weights.
 
 Per tile, the fused local tokens are mapped back to a feature map,
 upsampled to tile resolution and stitched onto the full canvas. A 3x3
@@ -39,17 +39,17 @@ backward, so training holds no resized copy of the global map; with
 lambda = 0 its backward never runs.
 
 Inference (`forward_infer`) runs the same tile pipeline without a tape,
-once per tile in patch mode (bounded transients) or on one full-size
-tile in global mode. Each tile's local half is `resized_conv` of its
-local map, stitched in that one pass; its global half, which needs the
-global map, is `resized_conv` over the tile's window of the canvas,
-added per tile afterwards. A one-tile image gets the same arithmetic,
+in float32 where training runs in float64, once per tile in patch mode
+(bounded transients) or on one full-size tile in global mode. Each
+tile's local half is `resized_conv` of its local map, stitched in that
+one pass; its global half, which needs the global map, is
+`resized_conv` over the tile's window of the canvas, added per tile
+afterwards. A one-tile image gets the same arithmetic,
 and prediction, in both modes.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -58,7 +58,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import (AttentionWeights, TokenSeq, build_patch_mask,
                         cross_fuse, project_qkv, self_attention)
-from .autodiff import Tensor, _maybe_record, _resize_matrix
+from .autodiff import Tensor, _matrix_memo, _maybe_record, _resize_matrix
 from .errors import DataError, DimensionError, UsageError
 from .tiling import (StitchAccumulator, TileGrid, extract_patch, plan_grid,
                      stitch)
@@ -168,6 +168,15 @@ class ModelParams:
     def head(self, branch: str) -> tuple[Tensor, Tensor]:
         return (self.by_name[f"head_{branch}.kernel"],
                 self.by_name[f"head_{branch}.bias"])
+
+    def astype(self, dtype) -> "ModelParams":
+        """These weights as `dtype` copies that track no gradient. Only
+        the tensors are built; no weights are drawn first."""
+        p = ModelParams.__new__(ModelParams)
+        p.backbone, p.num_classes = self.backbone, self.num_classes
+        p.by_name = {name: Tensor(t.data.astype(dtype))
+                     for name, t in self.by_name.items()}
+        return p
 
     def agg_halves(self) -> tuple[Tensor, Tensor, Tensor]:
         """The aggregation conv's global and local kernel halves, cut from
@@ -330,7 +339,9 @@ def coupling_penalty(x_loc: Tensor, x_glb: Tensor) -> Tensor:
         raise DimensionError(
             f"coupling_penalty: incompatible {tuple(x_loc.shape)} vs {tuple(x_glb.shape)}")
     _, h, w = x_loc.shape
-    ry, rx = _resize_matrix(x_glb.shape[1], h), _resize_matrix(x_glb.shape[2], w)
+    dtype = x_glb.data.dtype
+    ry = _resize_matrix(x_glb.shape[1], h, dtype=dtype)
+    rx = _resize_matrix(x_glb.shape[2], w, dtype=dtype)
 
     def difference():
         return x_loc.data - ry @ (x_glb.data @ rx.T)
@@ -365,9 +376,11 @@ class GlobalContext(NamedTuple):
 
 def _checked_image(image: np.ndarray, grid: Optional[TileGrid],
                    caller: str) -> np.ndarray:
-    """`image` as float64 after checking it is [3, H, W] and, when a grid
-    is given, that the grid was planned for H x W."""
-    image = np.asarray(image, dtype=np.float64)
+    """`image` as floats after checking it is [3, H, W] and, when a grid
+    is given, that the grid was planned for H x W. A float32 image passes
+    through unchanged, so a pass runs in float32 on float32 data; any
+    other image becomes float64 (`ad.as_float`)."""
+    image = ad.as_float(image)
     if image.ndim != 3 or image.shape[0] != IN_CHANNELS:
         raise DimensionError(f"{caller}: image must be [3,H,W], got {image.shape}")
     if grid is not None and (grid.image_h, grid.image_w) != image.shape[1:]:
@@ -496,19 +509,17 @@ def forward_train(image: np.ndarray, labels: np.ndarray, grid: TileGrid,
     return outputs, breakdown
 
 
-@functools.lru_cache(maxsize=128)
+@_matrix_memo
 def _window_taps(src: int, dst: int, start: int, size: int,
                  k: int) -> np.ndarray:
     """[size, k*src]: per kernel offset d, rows start+d-k//2.. of
     `_resize_matrix(src, dst)`, zero outside the window and past dst.
-    Memoised and read-only, like `_resize_matrix`: a tile grid repeats
-    the same few windows on every image."""
+    Memoised per dtype, like `_resize_matrix`: a tile grid repeats the
+    same few windows on every image."""
     m = np.zeros((size + k - 1, src))
     n = min(size, dst - start)
     m[k // 2:k // 2 + n] = _resize_matrix(src, dst)[start:start + n]
-    taps = np.concatenate([m[d:d + size] for d in range(k)], axis=1)
-    taps.flags.writeable = False
-    return taps
+    return np.concatenate([m[d:d + size] for d in range(k)], axis=1)
 
 
 def resized_conv(x: Tensor, kernel: Tensor, canvas: tuple[int, int],
@@ -530,8 +541,9 @@ def resized_conv(x: Tensor, kernel: Tensor, canvas: tuple[int, int],
     c, sh, sw = x.shape
     o, _, kh, kw = kernel.shape
     size = canvas if size is None else size
-    a_y = _window_taps(sh, canvas[0], origin[0], size[0], kh)
-    a_x = _window_taps(sw, canvas[1], origin[1], size[1], kw)
+    dtype = x.data.dtype
+    a_y = _window_taps(sh, canvas[0], origin[0], size[0], kh, dtype=dtype)
+    a_x = _window_taps(sw, canvas[1], origin[1], size[1], kw, dtype=dtype)
     kmat = kernel.data.transpose(0, 2, 3, 1).reshape(o * kh * kw, c)
     taps = (kmat @ x.data.reshape(c, -1)).reshape(o, kh, kw, sh, sw) \
         .transpose(0, 1, 3, 2, 4).reshape(o * kh * sh, kw * sw)
@@ -555,6 +567,12 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
                   mode: str = "patch",
                   mem_report: Optional[dict] = None) -> np.ndarray:
     """Predict a class-index map. No tape; transients die with each tile.
+
+    Inference reads no gradient, so it runs in float32: once the image
+    and grid are checked, the image and the parameters (a few KB) are
+    cast once, and the dtype travels with the data through every op, the
+    memoised resize matrices and the accumulator. That halves the bytes
+    and the bandwidth of float64; training stays float64.
 
     Patch mode walks the provided grid; global mode treats the whole
     image as a single tile at full resolution (the tile is padded up to a
@@ -585,8 +603,10 @@ def forward_infer(image: np.ndarray, grid: Optional[TileGrid],
     _check_tokens(f"forward_infer: a {grid.patch} px tile", grid.patch,
                   stride, "use patch mode with a smaller patch")
 
+    image = image.astype(np.float32, copy=False)
+    params = params.astype(np.float32)
     img_t = Tensor(image)
-    acc = StitchAccumulator(params.num_classes, grid)
+    acc = StitchAccumulator(params.num_classes, grid, image.dtype)
     d, p = params.backbone.d_model, grid.patch
     k_glb, k_loc, agg_b = params.agg_halves()
     if mem_report is not None:

@@ -120,18 +120,22 @@ class StitchAccumulator:
     the average exact when all contributions to a pixel are equal, which
     a plain sum-then-divide does not guarantee in floating point.
     `add_share` adds a second term per tile once the counts are final.
+    `mean` has the dtype of the data it accumulates, `dtype` (float32
+    for inference, float64 for training's `stitch`), and the counts are
+    cast to it before they divide: an int64 divisor would promote a
+    float32 update to float64.
     """
 
-    def __init__(self, channels: int, grid: TileGrid):
+    def __init__(self, channels: int, grid: TileGrid, dtype=np.float64):
         self.grid = grid
-        self.mean = np.zeros((channels, grid.image_h, grid.image_w))
+        self.mean = np.zeros((channels, grid.image_h, grid.image_w), dtype)
         self.count = np.zeros((grid.image_h, grid.image_w), dtype=np.int64)
 
     def add(self, values: np.ndarray, index: int) -> None:
         tile, (rows, cols) = self._tile_region(values, index, "add")
         self.count[rows, cols] += 1
         mean = self.mean[:, rows, cols]
-        mean += (tile - mean) / self.count[rows, cols]
+        mean += (tile - mean) / self.count[rows, cols].astype(mean.dtype)
 
     def add_share(self, values: np.ndarray, index: int) -> None:
         """Add `values / count` over tile `index`'s window; `count` is kept.
@@ -146,7 +150,7 @@ class StitchAccumulator:
             raise UsageError(
                 f"StitchAccumulator.add_share: tile {index} covers pixels "
                 f"no tile was added to")
-        self.mean[:, rows, cols] += tile / count
+        self.mean[:, rows, cols] += tile / count.astype(self.mean.dtype)
 
     def _tile_region(self, values: np.ndarray, index: int, method: str
                      ) -> tuple[np.ndarray, tuple[slice, slice]]:
@@ -173,7 +177,7 @@ def stitch(patches: Sequence[Tensor], grid: TileGrid) -> Tensor:
     for t in patches:
         if t.ndim != 3 or t.shape != (channels, grid.patch, grid.patch):
             raise DimensionError(f"stitch: bad tile shape {tuple(t.shape)}")
-    acc = StitchAccumulator(channels, grid)
+    acc = StitchAccumulator(channels, grid, patches[0].data.dtype)
     for i, t in enumerate(patches):
         acc.add(t.data, i)
     out = Tensor(acc.mean)

@@ -218,6 +218,42 @@ class TestTensorBasics:
         t = Tensor([1, 2, 3])
         assert t.data.dtype == np.float64
 
+    def test_float32_stays_float32(self):
+        a = np.arange(6, dtype=np.float32).reshape(2, 3)
+        t = Tensor(a)
+        assert t.data is a
+        assert Tensor(np.float32(2.5)).data.dtype == np.float32
+
+    @pytest.mark.parametrize("data", [
+        [1.5, 2.5], [1, 2], 3, 2.5, True, np.float64(2.5),
+        np.array([1, 2]), np.array([True]),
+        np.array([1.5], dtype=np.float16),
+        np.array([1.5], dtype=">f4"),
+    ], ids=["list", "int-list", "int", "float", "bool", "np-float64",
+            "int-array", "bool-array", "float16", "big-endian-float32"])
+    def test_everything_else_becomes_double(self, data):
+        assert Tensor(data).data.dtype == np.float64
+
+    # each op allocates its output, and sdpa its buffers, in its inputs'
+    # dtype: no memoised matrix or scalar promotes float32 to float64
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ops_keep_the_dtype(self, dtype):
+        rng = np.random.default_rng(3)
+
+        def t(*shape):
+            return Tensor(rng.standard_normal(shape).astype(dtype))
+
+        x, q, kv = t(2, 8, 6), t(5, 4), t(7, 4)
+        keep_row = np.ones((1, 7), dtype=bool)
+        keep_full = np.tril(np.ones((5, 7), dtype=bool))
+        outs = [ad.conv2d(x, t(3, 2, 3, 3), padding=1, bias=t(3)),
+                ad.avg_pool2d(x, 2), ad.bilinear_resize(x, 5, 11),
+                ad.bilinear_resize(x, 3, 2), ad.sdpa(q, kv, kv),
+                ad.sdpa(q, kv, kv, keep_row), ad.sdpa(q, kv, kv, keep_full),
+                ad.matmul(q, t(4, 3)), ad.relu(q), ad.scale(q, 0.5),
+                ad.add(q, q), ad.softmax_rows(q), ad.mean_all(q)]
+        assert [o.data.dtype for o in outs] == [np.dtype(dtype)] * len(outs)
+
     def test_grad_starts_empty(self):
         t = Tensor([1.0], requires_grad=True)
         assert t.grad is None
@@ -982,6 +1018,17 @@ class TestGradcheck:
         scale_matmul_input_grad(1.05)
         err = ad.gradcheck(ad.matmul, [a, b])
         assert err > 1e-3
+
+    def test_casts_inputs_to_double(self):
+        seen = []
+
+        def f(t):
+            seen.append(t.data.dtype)
+            return ad.mul(t, t)
+
+        x = np.random.default_rng(23).standard_normal((2, 3))
+        assert ad.gradcheck(f, [x.astype(np.float32)]) < 1e-7
+        assert set(seen) == {np.dtype(np.float64)}
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(UsageError):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -354,9 +355,13 @@ class TestExitCodes:
         cfg.write_text(MICRO_CFG.replace("steps = 2", "steps = 6")
                        + "lr_global = 1e300\nlr_local = 1e300\nckpt_every = 1\n")
         out = tmp_path / "run"
-        assert main(["train", "--config", str(cfg), "--deterministic",
-                     "--data", str(workspace / "data/train"),
-                     "--out", str(out)]) == 3
+        # pytest would swallow numpy's RuntimeWarnings; record them instead
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(cfg), "--deterministic",
+                         "--data", str(workspace / "data/train"),
+                         "--out", str(out)]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert "Traceback" not in err
 

@@ -753,7 +753,9 @@ class TestForwardInfer:
         assert np.array_equal(got, want)
 
     # both passes sum the tiles' fused global tokens in tile order and
-    # scale once, so the map inference aggregates is training's x_glb
+    # scale once, so the map inference aggregates is training's x_glb;
+    # inference runs in float32, so training is fed the same float32
+    # image and weights, which it keeps in float32
     @pytest.mark.parametrize("seed", range(6))
     def test_global_map_equals_training_x_glb(self, monkeypatch, seed):
         params, image, labels, grid, settings = micro_setup(
@@ -767,7 +769,9 @@ class TestForwardInfer:
 
         monkeypatch.setattr(model, "resized_conv", resized_conv)
         forward_infer(image, grid, params, settings, mode="patch")
-        out, _ = forward_train(image, labels, grid, params, settings)
+        out, _ = forward_train(image.astype(np.float32), labels, grid,
+                               params.astype(np.float32), settings)
+        assert out.x_glb.data.dtype == np.float32
         # the last inference call is a global half's; training's one call
         # takes x_glb itself
         assert len(maps) == 2 * grid.n_tiles + 1
@@ -899,6 +903,82 @@ class TestForwardInfer:
             forward_infer(image, grid, params, settings, mode="mosaic")
         with pytest.raises(UsageError):
             forward_infer(image, None, params, settings, mode="patch")
+
+
+class TestDtypeAudit:
+    """Inference runs in float32 and training in float64, end to end. Like
+    the tape audits, these watch a whole pass: every Tensor it makes,
+    every memoised resize, pool or window matrix it reads and the mean of
+    its stitch accumulator."""
+
+    @staticmethod
+    def watch(monkeypatch) -> dict:
+        seen = {"tensors": [], "matrices": [], "means": []}
+        real_init = Tensor.__init__
+
+        def init(self, data, requires_grad=False):
+            real_init(self, data, requires_grad)
+            seen["tensors"].append(self.data.dtype)
+
+        monkeypatch.setattr(Tensor, "__init__", init)
+        for owner, name in ((ad, "_resize_matrix"), (ad, "_pool_matrix"),
+                            (ad, "_resize_reads"), (model, "_resize_matrix"),
+                            (model, "_window_taps")):
+            def read(*args, real=getattr(owner, name), **kwargs):
+                m = real(*args, **kwargs)
+                seen["matrices"].append(
+                    (m[1] if isinstance(m, tuple) else m).dtype)
+                return m
+
+            monkeypatch.setattr(owner, name, read)
+        real_add = model.StitchAccumulator.add
+
+        def add(self, values, index):
+            seen["means"].append(self.mean.dtype)
+            real_add(self, values, index)
+
+        monkeypatch.setattr(model.StitchAccumulator, "add", add)
+        return seen
+
+    @pytest.mark.parametrize("mode", ["patch", "global"])
+    def test_inference_is_float32(self, monkeypatch, mode):
+        params, image, _, grid, settings = micro_setup(
+            h=40, w=28, patch=16, overlap=4)
+        grid = grid if mode == "patch" else None
+        # warm the memos, whose float64 builds are not reads of the pass
+        forward_infer(image, grid, params, settings, mode=mode)
+        seen = self.watch(monkeypatch)
+        forward_infer(image, grid, params, settings, mode=mode)
+        for what, dtypes in seen.items():
+            assert dtypes and set(dtypes) == {np.dtype(np.float32)}, what
+
+    def test_training_makes_no_float32_tensor(self, monkeypatch):
+        params, image, labels, grid, settings = micro_setup(
+            h=40, w=28, patch=16, overlap=4, coupling_lambda=0.5)
+        seen = self.watch(monkeypatch)
+        with GradTape() as tape:
+            _, bd = forward_train(image, labels, grid, params, settings)
+        tape.backward(bd.total_tensor)
+        for what, dtypes in seen.items():
+            assert dtypes and set(dtypes) == {np.dtype(np.float64)}, what
+        assert {t.grad.dtype for t in params.named().values()} \
+            == {np.dtype(np.float64)}
+
+    def test_astype_copies_without_drawing_weights(self, monkeypatch):
+        params, *_ = micro_setup()
+
+        def draw(*args, **kwargs):
+            raise AssertionError("astype drew weights")
+
+        monkeypatch.setattr(ad, "init_uniform", draw)
+        cast = params.astype(np.float32)
+        assert cast.backbone is params.backbone
+        assert cast.num_classes == params.num_classes
+        for name, t in params.named().items():
+            c = cast.by_name[name]
+            assert c.data.dtype == np.float32 and not c.requires_grad
+            np.testing.assert_array_equal(c.data, t.data.astype(np.float32))
+            assert t.data.dtype == np.float64
 
 
 class TestResizedConv:

@@ -183,6 +183,31 @@ class TestStitch:
         np.testing.assert_allclose(acc.mean, total / cov, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(acc.count, cov)
 
+    # float32 tiles are averaged in float32 arithmetic: the int64 counts
+    # must not promote the update to float64 and round it back
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_accumulates_in_its_dtype(self, dtype):
+        rng = np.random.default_rng(6)
+        grid = plan_grid(10, 10, 4, 3)
+        assert coverage_map(grid).max() == 16
+        ls = [rng.standard_normal((2, 4, 4)).astype(dtype) for _ in grid.origins]
+        gs = [rng.standard_normal((2, 4, 4)).astype(dtype) for _ in grid.origins]
+        acc = StitchAccumulator(2, grid, dtype)
+        mean = np.zeros((2, 10, 10), dtype)
+        count = np.zeros((10, 10), dtype)
+        for i, l_i in enumerate(ls):
+            acc.add(l_i, i)
+            rows, cols = grid.window(i)
+            count[rows, cols] += 1
+            m = mean[:, rows, cols]
+            m += (l_i - m) / count[rows, cols]
+        for i, g_i in enumerate(gs):
+            acc.add_share(g_i, i)
+            rows, cols = grid.window(i)
+            mean[:, rows, cols] += g_i / count[rows, cols]
+        assert acc.mean.dtype == dtype
+        np.testing.assert_array_equal(acc.mean, mean)
+
     def test_add_share_rejects_what_add_rejects(self):
         acc = StitchAccumulator(1, plan_grid(6, 6, 4, 2))
         acc.add(np.ones((1, 4, 4)), 0)
