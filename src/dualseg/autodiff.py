@@ -12,7 +12,12 @@ order, accumulating `.grad` arrays on every tracked tensor. It releases
 each record, with the arrays its closure saved, and each non-leaf
 `.grad` once it has read them, so after backward only the leaves (the
 tensors no op produced) keep a gradient. A tape is single-use: backward
-on a consumed tape raises.
+on a consumed tape raises. Backward takes a seed gradient for an output
+of any shape, and it replays with recording off, so a record may run a
+tape of its own: `checkpoint(fn, *inputs)` is one taped op that keeps
+none of fn's intermediates and, in backward, runs fn again under its
+own tape and replays that from the output's gradient (gradient
+checkpointing). Tapes still do not nest in the forward.
 
 Most ops are single numpy primitives. An op's backward closure keeps
 its inputs and small arrays, and recomputes what is large and cheap to
@@ -191,20 +196,42 @@ class GradTape:
     def record(self, output: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
         self._records.append((output, backward_fn))
 
-    def backward(self, loss: Tensor) -> None:
-        """Populate `.grad` on every leaf reachable from `loss`."""
+    def backward(self, loss: Tensor, seed: Optional[np.ndarray] = None) -> None:
+        """Populate `.grad` on every leaf reachable from `loss`.
+
+        Without `seed`, `loss` must be a scalar and its gradient is 1.
+        With it, `loss` may have any shape and `seed`, of that shape, is
+        its gradient, not copied: the leaves get the gradients of
+        sum(loss * seed).
+        The records replay with recording off, so a backward closure may
+        run a tape of its own (`checkpoint`), even when this backward is
+        called inside this tape's `with` block.
+        """
+        global _ACTIVE_TAPE
         if self._consumed:
             raise UsageError("tape already consumed; rebuild the forward pass")
-        if loss.data.size != 1:
-            raise UsageError(f"backward needs a scalar loss, got shape {tuple(loss.shape)}")
+        if seed is None:
+            if loss.data.size != 1:
+                raise UsageError(
+                    f"backward needs a scalar loss, got shape {tuple(loss.shape)}")
+            seed = np.ones_like(loss.data)
+        elif np.shape(seed) != loss.shape:
+            raise UsageError(f"backward: seed shape {np.shape(seed)} != "
+                             f"output shape {tuple(loss.shape)}")
+        else:
+            seed = np.asarray(seed, dtype=loss.data.dtype)
         self._consumed = True
-        loss.grad = np.ones_like(loss.data)
+        loss.grad = seed
         records = self._records
-        while records:
-            output, backward_fn = records.pop()
-            g, output.grad = output.grad, None
-            if g is not None:
-                backward_fn(g)
+        active, _ACTIVE_TAPE = _ACTIVE_TAPE, None
+        try:
+            while records:
+                output, backward_fn = records.pop()
+                g, output.grad = output.grad, None
+                if g is not None:
+                    backward_fn(g)
+        finally:
+            _ACTIVE_TAPE = active
 
 
 _ACTIVE_TAPE: Optional[GradTape] = None
@@ -217,6 +244,34 @@ def _maybe_record(inputs: Sequence[Tensor], output: Tensor,
         output.requires_grad = True
         _ACTIVE_TAPE.record(output, backward_fn)
     return output
+
+
+def checkpoint(fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
+    """`fn(*inputs)` as one taped op that keeps none of fn's intermediates
+    (gradient checkpointing, Chen et al. 2016, arXiv:1604.06174).
+
+    The forward runs fn with recording off, so a tape holds only the
+    inputs and the output, and what fn allocated on the way dies at once.
+    Backward runs fn again under a tape of its own and replays that tape
+    from the output's gradient (a seeded `GradTape.backward`), which
+    accumulates into the inputs. The recompute repeats the forward's
+    arithmetic, so the gradients are bitwise those of the unwrapped ops.
+    fn must read no Tensor that is not among `inputs`, and must return a
+    new Tensor. With no tape active it is a plain call of fn.
+    """
+    global _ACTIVE_TAPE
+    active, _ACTIVE_TAPE = _ACTIVE_TAPE, None
+    try:
+        out = fn(*inputs)
+    finally:
+        _ACTIVE_TAPE = active
+
+    def bw(g):
+        with GradTape() as tape:
+            redo = fn(*inputs)
+        tape.backward(redo, g)
+
+    return _maybe_record(inputs, out, bw)
 
 
 # ---------------------------------------------------------------------------

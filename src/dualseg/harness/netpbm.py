@@ -14,9 +14,14 @@ import numpy as np
 
 from ..errors import DataError, DimensionError
 
+# Longest header token read: a magic number, a size or a maxval is a few
+# bytes, and a longer token is refused rather than grown and parsed.
+MAX_TOKEN_BYTES = 64
+
 
 def _read_token(f) -> bytes:
-    """Next whitespace-delimited header token, skipping # comments."""
+    """Next whitespace-delimited header token, skipping # comments; one
+    longer than MAX_TOKEN_BYTES is refused."""
     tok = b""
     while True:
         ch = f.read(1)
@@ -32,6 +37,9 @@ def _read_token(f) -> bytes:
             if tok:
                 return tok
             continue
+        if len(tok) == MAX_TOKEN_BYTES:
+            raise DataError(
+                f"netpbm: header token longer than {MAX_TOKEN_BYTES} bytes")
         tok += ch
 
 

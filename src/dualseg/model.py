@@ -11,6 +11,13 @@ to the global cells around their tile (`use_mask`); the reverse
 direction is never masked, because a distant global query would be left
 with no allowed keys, which is a hard error by design.
 
+Each backbone stage runs as one `ad.checkpoint`, so a training tape
+holds each stage's output but not its conv pre-activation or, in a
+pooled stage, its relu map; backward recomputes those, with the
+forward's arithmetic, so the gradients are unchanged bit for bit.
+Without a tape the checkpoint is a plain call, and inference runs the
+same stages.
+
 Both passes share one front end: `_checked_image` checks the image and
 its grid, `_global_branch` runs the global branch once and projects its
 tokens for fusion, and `_tile_forward` runs one tile's local branch
@@ -227,16 +234,28 @@ class LossBreakdown:
 # building blocks
 
 
+def _stage(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    return ad.relu(ad.conv2d(x, kernel, padding=1, bias=bias))
+
+
+def _pooled_stage(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    return ad.avg_pool2d(_stage(x, kernel, bias), 2)
+
+
 def backbone_forward(x: Tensor, params: ModelParams, branch: str,
                      skip_last_pool: bool = False) -> Tensor:
-    """Conv3x3 + relu stages with optional 2x average pooling."""
+    """Conv3x3 + relu stages with optional 2x average pooling.
+
+    Each stage is one `ad.checkpoint`: a tape keeps its input and output,
+    not the conv's pre-activation or a pooled stage's relu map, and
+    backward recomputes them. With no tape it is a plain call.
+    """
     cfg = params.backbone
     n = len(cfg.stage_channels)
     for i in range(n):
-        kernel, bias = params.stage(branch, i)
-        x = ad.relu(ad.conv2d(x, kernel, padding=1, bias=bias))
-        if cfg.downsample_per_stage[i] and not (skip_last_pool and i == n - 1):
-            x = ad.avg_pool2d(x, 2)
+        pool = cfg.downsample_per_stage[i] and not (skip_last_pool and i == n - 1)
+        x = ad.checkpoint(_pooled_stage if pool else _stage, x,
+                          *params.stage(branch, i))
     return x
 
 
@@ -413,9 +432,12 @@ def _branch_tokens(x: Tensor, params: ModelParams, branch: str,
     """Backbone tokens of one branch ("g" or "l"), refined by residual
     self-attention when enabled; the local branch keeps its last stage
     at full rate."""
-    # rebinding x drops the branch input before self-attention runs
+    # before self-attention runs, rebinding x drops the branch input and
+    # deleting it the backbone's map, which the tokens have copied (a
+    # tape keeps the map anyway)
     x = backbone_forward(x, params, branch, skip_last_pool=branch == "l")
     seq = tokens_from_map(x)
+    del x
     if settings.use_self_attn:
         seq = refine_tokens(seq, params.attn(f"sa_{branch}"))
     return seq

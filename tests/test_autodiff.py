@@ -411,6 +411,114 @@ class TestTapeSemantics:
         np.testing.assert_array_equal(y.grad, [1.0])
 
 
+def pooled_stage(x, kernel, bias):
+    return ad.avg_pool2d(ad.relu(ad.conv2d(x, kernel, padding=1, bias=bias)), 2)
+
+
+def relu_stage(x, kernel, bias):
+    return ad.relu(ad.conv2d(x, kernel, padding=1, bias=bias))
+
+
+def stage_inputs(seed, c_in=3):
+    rng = np.random.default_rng(seed)
+    return (Tensor(rng.standard_normal((c_in, 8, 6)), requires_grad=True),
+            Tensor(rng.standard_normal((4, c_in, 3, 3)), requires_grad=True),
+            Tensor(rng.standard_normal(4), requires_grad=True))
+
+
+class TestSeededBackward:
+    def test_matches_scalar_loss_of_seeded_sum(self):
+        rng = np.random.default_rng(40)
+        a0, b0 = rng.standard_normal((3, 4)), rng.standard_normal((4, 5))
+        seed = rng.standard_normal((3, 5))
+        grads = []
+        for seeded in (True, False):
+            a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+            with GradTape() as tape:
+                y = ad.relu(ad.matmul(a, b))
+                if seeded:
+                    tape.backward(y, seed)
+                else:
+                    tape.backward(ad.sum_all(ad.mul(y, Tensor(seed))))
+            grads.append((a.grad, b.grad))
+        for got, want in zip(*grads):
+            np.testing.assert_array_equal(got, want)
+
+    def test_seed_must_match_the_output(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with GradTape() as tape:
+            y = ad.relu(x)
+            with pytest.raises(UsageError, match="seed shape"):
+                tape.backward(y, np.ones(3))
+
+    def test_backward_replays_with_recording_off(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        ran = []
+        with GradTape() as tape:
+            loss = ad.sum_all(ad.relu(x))
+            tape.record(loss, lambda g: ran.append(ad.relu(x)))
+            tape.backward(loss)
+            assert ad._ACTIVE_TAPE is tape
+        assert tape._records == []
+        assert len(ran) == 1 and not ran[0].requires_grad
+
+
+class TestCheckpoint:
+    def test_stage_gradients_bitwise_equal_to_unwrapped_chain(self):
+        # two stages, as the backbone runs them: the first stage's input
+        # is not a leaf, and the second reads the first's output
+        w = Tensor(np.random.default_rng(41).standard_normal((4, 4, 3)))
+        grads = []
+        for wrap in (True, False):
+            x, k1, b1 = stage_inputs(42)
+            _, k2, b2 = stage_inputs(43, c_in=4)
+            run = (lambda fn, *t: ad.checkpoint(fn, *t)) if wrap \
+                else (lambda fn, *t: fn(*t))
+            with GradTape() as tape:
+                h = run(pooled_stage, ad.scale(x, 0.5), k1, b1)
+                h = run(relu_stage, h, k2, b2)
+                loss = ad.sum_all(ad.mul(h, w))
+                tape.backward(loss)
+            grads.append([loss.item(), x.grad, k1.grad, b1.grad, k2.grad,
+                          b2.grad])
+        assert grads[0][0] == grads[1][0]
+        for got, want in zip(grads[0][1:], grads[1][1:]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_one_record_per_checkpoint(self):
+        x, kernel, bias = stage_inputs(43)
+        before = LEDGER.current_bytes
+        with GradTape() as tape:
+            y = ad.checkpoint(pooled_stage, x, kernel, bias)
+            # the conv and relu maps died with the forward
+            assert LEDGER.current_bytes - before == y.data.nbytes
+            assert [out for out, _ in tape._records] == [y]
+        assert y.requires_grad
+
+    def test_gradcheck_passes_through_checkpoint(self):
+        x, kernel, bias = stage_inputs(44)
+        err = ad.gradcheck(lambda *t: ad.checkpoint(pooled_stage, *t),
+                           [x.data, kernel.data, bias.data])
+        assert err < 1e-6
+
+    def test_without_tape_records_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a tape was used")
+
+        monkeypatch.setattr(GradTape, "__enter__", refuse)
+        monkeypatch.setattr(GradTape, "record", refuse)
+        x, kernel, bias = stage_inputs(45)
+        y = ad.checkpoint(pooled_stage, x, kernel, bias)
+        assert not y.requires_grad
+        np.testing.assert_array_equal(y.data, pooled_stage(x, kernel, bias).data)
+
+    def test_forward_error_restores_the_tape(self):
+        with GradTape() as tape:
+            with pytest.raises(DimensionError):
+                ad.checkpoint(ad.transpose, Tensor(np.ones(3), requires_grad=True))
+            assert ad._ACTIVE_TAPE is tape
+
+
 class TestMatmul:
     def test_identity_and_hand_product(self):
         m = Tensor([[3.0, 4.0], [5.0, 6.0]])

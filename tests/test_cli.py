@@ -398,6 +398,22 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "truncated (12 of 192000000 bytes)" in err
 
+    def test_overlong_header_field_is_3_at_once(self, workspace, tmp_path,
+                                                capsys):
+        # a 320,000-digit width: the reader stops at the token cap rather
+        # than growing the token byte by byte and parsing it
+        bad = tmp_path / "long.ppm"
+        bad.write_bytes(b"P6\n" + b"1" * 320_000 + b" 4\n255\n" + bytes(48))
+        t0 = time.perf_counter()
+        code = main(["infer", "--ckpt", str(workspace / "run/ckpt.json"),
+                     "--image", str(bad), "--out", str(tmp_path / "pred")])
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1
+        assert "header token longer than 64 bytes" in err
+        assert elapsed < 1.0
+
     def test_nan_checkpoint_is_3(self, workspace, tmp_path, capsys):
         doc = json.loads((workspace / "run/ckpt.json").read_text())
         doc["params"]["f_agg.bias"]["data"][0] = float("nan")

@@ -513,6 +513,29 @@ class TestForwardTrain:
             canvas = [o for o, _ in tape._records if o.shape == shape]
         assert len(canvas) == 1 and canvas[0] is out.x_loc_full
 
+    def test_backbone_keeps_only_stage_outputs_on_tape(self, monkeypatch):
+        # each stage is one checkpoint: neither a conv's pre-activation
+        # nor the relu map a pool reads is a record output
+        params, image, labels, grid, settings = micro_setup()
+        inner = []
+        for op in ("relu", "avg_pool2d"):
+            real = getattr(ad, op)
+
+            def spy(x, *args, real=real):
+                inner.append(x)
+                return real(x, *args)
+
+            monkeypatch.setattr(ad, op, spy)
+        with GradTape() as tape:
+            forward_train(image, labels, grid, params, settings)
+            records = list(tape._records)
+        # global: 2 relus, 2 pools; local: the last stage keeps full rate
+        assert len(inner) == 4 + 3 * grid.n_tiles
+        outputs = [out for out, _ in records]
+        assert not [x for x in inner if any(x is out for out in outputs)]
+        ops = [bw.__qualname__.split(".")[0] for _, bw in records]
+        assert ops.count("checkpoint") == 2 * (1 + grid.n_tiles)
+
     def test_conv_and_attention_backwards_keep_no_large_array(self):
         # conv2d rebuilds its im2col and sdpa its probabilities in
         # backward; a 4x4 global token grid makes p larger than q, k, v
@@ -800,6 +823,31 @@ class TestForwardInfer:
         with GradTape():
             forward_train(image, labels, grid, params, settings)
         assert calls == [True]
+
+    @pytest.mark.parametrize("mode", ["patch", "global"])
+    def test_backbone_map_freed_before_self_attention(self, monkeypatch,
+                                                      mode):
+        # the tokens copy the backbone's last map; once they exist, the
+        # map and the branch input are dead, so the ledger holds what it
+        # held as the backbone returned, less the input
+        params, image, _, grid, settings = micro_setup()
+        after_backbone, at_refine = [], []
+        backbone, refine = model.backbone_forward, model.refine_tokens
+
+        def spy_backbone(x, *args, **kwargs):
+            out = backbone(x, *args, **kwargs)
+            after_backbone.append(LEDGER.current_bytes - x.data.nbytes)
+            return out
+
+        def spy_refine(*args):
+            at_refine.append(LEDGER.current_bytes)
+            return refine(*args)
+
+        monkeypatch.setattr(model, "backbone_forward", spy_backbone)
+        monkeypatch.setattr(model, "refine_tokens", spy_refine)
+        forward_infer(image, grid, params, settings, mode=mode)
+        assert len(at_refine) == 1 + (grid.n_tiles if mode == "patch" else 1)
+        assert at_refine == after_backbone
 
     def test_patch_transient_flat_in_image_size(self):
         transients = []

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from dualseg.errors import DataError, DimensionError
-from dualseg.harness.netpbm import (bytes_to_image, image_to_bytes, read_pgm,
-                                    read_ppm, write_pgm, write_ppm)
+from dualseg.harness.netpbm import (MAX_TOKEN_BYTES, bytes_to_image,
+                                    image_to_bytes, read_pgm, read_ppm,
+                                    write_pgm, write_ppm)
 
 
 class TestRoundTrip:
@@ -63,6 +64,15 @@ class TestHeaderTolerance:
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
         with pytest.raises(DataError, match="truncated"):
+            read_pgm(path)
+
+    def test_header_token_capped(self, tmp_path):
+        path = tmp_path / "long.pgm"
+        width = b"0" * (MAX_TOKEN_BYTES - 1) + b"2"
+        path.write_bytes(b"P5\n" + width + b" 1\n255\n\x07\x09")
+        assert read_pgm(path).tolist() == [[7, 9]]
+        path.write_bytes(b"P5\n0" + width + b" 1\n255\n\x07\x09")
+        with pytest.raises(DataError, match="longer than"):
             read_pgm(path)
 
     # 17 header bytes + 12 payload bytes: 29 bytes that claim 8000x8000
